@@ -8,6 +8,7 @@
      dune exec bench/main.exe -- --scale 0.2   # quick pass
      dune exec bench/main.exe -- --full-wordcount  # 1M/2M-word inputs
      dune exec bench/main.exe -- --json out.json fig12  # + JSON snapshot
+     dune exec bench/main.exe -- --durability traverse fig12  # discipline
      dune exec bench/main.exe -- check BENCH_seed.json  # regression check
      dune exec bench/main.exe -- bechamel      # host-time micro-benchmarks
      dune exec bench/main.exe -- faultsim      # crash-point recovery sweep
@@ -17,16 +18,19 @@
    The last four are "extra" experiments: they live outside the Suite
    (their results are verdicts/host-times/separate JSON kinds, not cycle
    tables), so BENCH JSON snapshots never see them. They register in the
-   [extras] table below; adding one more is a single table entry. *)
+   [extras] table below; adding one more is a single table entry.
+
+   --durability is handed to every machine the experiments create
+   (Machine.create ~durability); snapshots never record it, so check
+   takes no such flag and always re-runs eager, like the baselines. *)
 
 open Nvmpi_experiments
 
 let usage_text =
   "usage: main.exe [--scale F] [--seed N] [--full-wordcount] [--json FILE] \
-   [--jobs N] [--wall] [--engine staged|dispatch] [--durability \
+   [--jobs N] [--wall] [--durability \
    eager|traverse|snapshot|snapshot-page] [experiment ...]\n\
-  \       main.exe check BASELINE.json [--tolerance F] [--jobs N] [--engine \
-   staged|dispatch] [--durability eager|traverse|snapshot|snapshot-page]\n\
+  \       main.exe check BASELINE.json [--tolerance F] [--jobs N]\n\
   \       main.exe perf [--ops N]\n\
    experiments: fig12 payload table1 fig13 fig14 regions fig15 breakdown \
    ablations churn durset snapshot bechamel faultsim conform server all\n\
@@ -38,11 +42,10 @@ let usage_text =
    wall-clock only);\n\
    --wall adds a host wall-clock section (with per-representation deref \
    ns) to the JSON snapshot;\n\
-   --engine selects the staged (pre-instantiated, default) or dispatch \
-   (first-class-module) call graph;\n\
-   --durability selects the persistence discipline: eager (legacy, \
-   default), traverse (link-and-persist, docs/DURABLE.md) or \
-   snapshot/snapshot-page (failure-atomic sync epochs, docs/SNAPSHOT.md);\n\
+   --durability selects the persistence discipline of every machine the \
+   experiments create: eager (legacy, default), traverse \
+   (link-and-persist, docs/DURABLE.md) or snapshot/snapshot-page \
+   (failure-atomic sync epochs, docs/SNAPSHOT.md);\n\
    perf prints a host-nanosecond profile of the simulator's access hot \
    path."
 
@@ -99,12 +102,9 @@ let bechamel_suite () =
      bytes through the resulting absolute address. Unlike pointer-load
      this includes the data access the translation exists to serve, so
      it is the host-side cost of the simulator's per-deref fast path
-     (TLB'd page lookup + single-observer dispatch + L1 hit). Measured
-     under both engines for every representation: [staged] runs the
-     fused [Core.Engine.deref] (per-kind direct dispatch into the
-     specialized path); [dispatch] unpacks the first-class module and
-     chains the generic [Memsim.load64] — the historical call graph. *)
-  let deref_test ~staged kind =
+     (TLB'd page lookup + single-observer dispatch + L1 hit), through
+     the fused [Core.Engine.deref]. *)
+  let deref_test kind =
     let store = Core.Store.create () in
     let m = Machine.create ~seed:1 ~store () in
     let r = Machine.open_region m (Machine.create_region m ~size:(1 lsl 20)) in
@@ -112,25 +112,15 @@ let bechamel_suite () =
     let holder = Region.alloc r (Core.Repr.slot_size kind) in
     let target = Region.alloc r 64 in
     Core.Engine.store kind m ~holder target;
-    let name = Core.Repr.to_string kind in
-    if staged then
-      Test.make ~name
-        (Staged.stage (fun () -> ignore (Core.Engine.deref kind m ~holder)))
-    else
-      let (module P) = Core.Repr.m kind in
-      let mem = m.Machine.mem in
-      Test.make ~name
-        (Staged.stage (fun () ->
-             ignore (Nvmpi_memsim.Memsim.load64 mem (P.load m ~holder))))
+    Test.make ~name:(Core.Repr.to_string kind)
+      (Staged.stage (fun () -> ignore (Core.Engine.deref kind m ~holder)))
   in
   let tests =
     [
       Test.make_grouped ~name:"pointer-load" ~fmt:"%s/%s"
         (List.map load_test Core.Repr.all);
-      Test.make_grouped ~name:"single-deref-staged" ~fmt:"%s/%s"
-        (List.map (deref_test ~staged:true) Core.Repr.all);
-      Test.make_grouped ~name:"single-deref-dispatch" ~fmt:"%s/%s"
-        (List.map (deref_test ~staged:false) Core.Repr.all);
+      Test.make_grouped ~name:"single-deref" ~fmt:"%s/%s"
+        (List.map deref_test Core.Repr.all);
       Test.make_grouped ~name:"riv-traversal" ~fmt:"%s/%s"
         (List.map traverse_test Instance.structures);
     ]
@@ -176,11 +166,11 @@ let faultsim_suite ~jobs ~seed =
    bechamel and faultsim it is not part of the Suite — its result is a
    divergence count, not a cycle table, so BENCH JSON snapshots never
    see it. The full-size sweep lives in `nvmpi fuzz` and CI. *)
-let conform_suite ~jobs ~seed =
+let conform_suite ~jobs ~seed ~durability =
   let module Engine = Nvmpi_conform.Engine in
   let seed = Option.value seed ~default:42 in
   let traces = 30 in
-  let report = Engine.run ~jobs ~seed ~traces () in
+  let report = Engine.run ~jobs ~durability ~seed ~traces () in
   Printf.printf
     "conform: %d traces (seed %d, %d with remaps), %d divergence(s)\n" traces
     seed report.Engine.traces_with_remap
@@ -197,7 +187,7 @@ let conform_suite ~jobs ~seed =
    tenants and a tight residency cap to force map/unmap churn on every
    representation. The full-size knobbed run lives in `nvmpi serve`
    (see docs/SERVER.md). *)
-let server_suite ~jobs ~seed =
+let server_suite ~jobs ~seed ~durability =
   let open Nvmpi_server in
   let config =
     { Server.default with
@@ -206,17 +196,19 @@ let server_suite ~jobs ~seed =
       resident = 24;
       seed = Option.value seed ~default:Server.default.Server.seed }
   in
-  Server.print_report (Server.run ~jobs config)
+  Server.print_report (Server.run ~jobs ~durability config)
 
 (* The extra experiments: everything runnable from this harness that is
    NOT a Suite cycle-table experiment. Run in table order when selected
-   (or under "all"), after the Suite experiments. *)
+   (or under "all"), after the Suite experiments. The faultsim scenarios
+   fix their own disciplines, so only conform and server take
+   --durability. *)
 let extras =
   [
-    ("bechamel", fun ~jobs:_ ~seed:_ -> bechamel_suite ());
-    ("faultsim", fun ~jobs ~seed -> faultsim_suite ~jobs ~seed);
-    ("conform", fun ~jobs ~seed -> conform_suite ~jobs ~seed);
-    ("server", fun ~jobs ~seed -> server_suite ~jobs ~seed);
+    ("bechamel", fun ~jobs:_ ~seed:_ ~durability:_ -> bechamel_suite ());
+    ("faultsim", fun ~jobs ~seed ~durability:_ -> faultsim_suite ~jobs ~seed);
+    ("conform", conform_suite);
+    ("server", server_suite);
   ]
 
 (* Perf mode ---------------------------------------------------------- *)
@@ -309,13 +301,13 @@ let perf_main args =
      comparing across --ops values)\n"
 
 (* Per-representation single-dereference cost in host nanoseconds,
-   measured with plain deterministic loops under the active engine.
+   measured with plain deterministic loops over [Core.Engine.deref].
    This backs the ["deref_ns_per_op"] object of the --wall JSON section:
    unlike the bechamel estimates (sampling-based, and implausibly
    inflated on some virtualized hosts), a fixed-count loop over the
    fused path divides two monotonic-clock readings — crude, but honest
-   and reproducible enough to track the staged engine's regression
-   budget per representation. *)
+   and reproducible enough to track the fused path's regression budget
+   per representation. *)
 let deref_ns_per_op () =
   let module Machine = Core.Machine in
   let module Region = Core.Region in
@@ -352,6 +344,7 @@ let run_main args =
   let json_path = ref None in
   let jobs = ref 1 in
   let wall = ref false in
+  let durability = ref Core.Durability.Eager in
   let picked = ref [] in
   let rec parse = function
     | [] -> ()
@@ -373,7 +366,17 @@ let run_main args =
         | Some j when j >= 1 -> jobs := j
         | _ -> fail "--jobs needs a positive integer, got %S" v);
         parse rest
-    | [ (("--scale" | "--seed" | "--json" | "--jobs") as flag) ] ->
+    | "--durability" :: v :: rest ->
+        (match Core.Durability.of_string v with
+        | Some d -> durability := d
+        | None ->
+            fail
+              "--durability needs eager, traverse, snapshot or \
+               snapshot-page, got %S"
+              v);
+        parse rest
+    | [ (("--scale" | "--seed" | "--json" | "--jobs" | "--durability") as flag) ]
+      ->
         fail "option %s needs a value" flag
     | "--wall" :: rest ->
         wall := true;
@@ -419,7 +422,9 @@ let run_main args =
   let results =
     if !jobs > 1 then begin
       (* Parallel: run everything first, then print in request order. *)
-      let results = Suite.run_all ~jobs:!jobs params suite_names in
+      let results =
+        Suite.run_all ~jobs:!jobs ~durability:!durability params suite_names
+      in
       List.iter
         (fun r -> List.iter Table.print r.Suite.tables)
         results;
@@ -428,12 +433,14 @@ let run_main args =
     else
       List.map
         (fun name ->
-          let r = Suite.run params name in
+          let r = Suite.run ~durability:!durability params name in
           List.iter Table.print r.Suite.tables;
           r)
         suite_names
   in
-  List.iter (fun (_, run) -> run ~jobs:!jobs ~seed:!seed) wanted_extras;
+  List.iter
+    (fun (_, run) -> run ~jobs:!jobs ~seed:!seed ~durability:!durability)
+    wanted_extras;
   match !json_path with
   | None -> ()
   | Some path ->
@@ -518,47 +525,7 @@ let check_main args =
   end
 
 let () =
-  (* --engine is process-global: it selects the instance-construction
-     call graph for the whole run (set here, before any domain spawns),
-     so it is stripped ahead of mode dispatch and is accepted by run and
-     check alike. Recorded parameters and snapshot schemas do not
-     mention it — staged and dispatch runs stay byte-comparable. *)
-  let rec strip_engine acc = function
-    | [] -> List.rev acc
-    | "--engine" :: v :: rest ->
-        (match Core.Engine.mode_of_string v with
-        | Some m ->
-            Core.Engine.set_default_mode m;
-            strip_engine acc rest
-        | None -> fail "--engine needs staged or dispatch, got %S" v)
-    | [ "--engine" ] -> fail "option --engine needs a value"
-    | "--durability" :: v :: rest -> (
-        match v with
-        | "snapshot" | "snapshot-page" ->
-            (* Failure-atomic sync epochs (docs/SNAPSHOT.md): structure
-               code runs flush-free, durability moves to Snapshot.sync. *)
-            Nvmpi_structures.Durable.set_default_mode
-              Nvmpi_structures.Durable.Eager;
-            Nvmpi_snapshot.Snapshot.set_default
-              (Some
-                 (if v = "snapshot" then Nvmpi_snapshot.Snapshot.Line
-                  else Nvmpi_snapshot.Snapshot.Page));
-            strip_engine acc rest
-        | _ -> (
-            match Nvmpi_structures.Durable.mode_of_string v with
-            | Some m ->
-                Nvmpi_structures.Durable.set_default_mode m;
-                Nvmpi_snapshot.Snapshot.set_default None;
-                strip_engine acc rest
-            | None ->
-                fail
-                  "--durability needs eager, traverse, snapshot or \
-                   snapshot-page, got %S"
-                  v))
-    | [ "--durability" ] -> fail "option --durability needs a value"
-    | a :: rest -> strip_engine (a :: acc) rest
-  in
-  match strip_engine [] (List.tl (Array.to_list Sys.argv)) with
+  match List.tl (Array.to_list Sys.argv) with
   | "check" :: rest -> check_main rest
   | "perf" :: rest -> perf_main rest
   | args -> run_main args

@@ -17,61 +17,16 @@ open Cmdliner
 
 let experiments = Nvmpi_experiments.Suite.names @ [ "all" ]
 
-(* --engine: which instance-construction call graph the process uses —
-   staged (pre-instantiated per-representation modules, the default) or
-   dispatch (the historical first-class-module path). Process-global,
-   set at command start before any domains spawn; the two are
-   observationally identical, so every JSON artifact is byte-identical
-   across engines and only host time differs. Shared by the subcommands
-   that construct representation-parameterized structures. *)
-let engine =
-  let engine_conv =
-    Arg.enum
-      [ ("staged", Core.Engine.Staged); ("dispatch", Core.Engine.Dispatch) ]
-  in
-  Arg.(value & opt engine_conv Core.Engine.Staged
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine: $(b,staged) (pre-instantiated \
-                 per-representation modules, the default) or \
-                 $(b,dispatch) (first-class-module dispatch). Results \
-                 are identical; only host time differs.")
-
-(* --durability: which persistence discipline the structures use —
-   eager (the legacy behaviour: structure code issues no persistence
-   actions, the default) or traverse (link-and-persist: flush-free
-   traversals, clwb+fence confined to the modification window;
-   docs/DURABLE.md). Process-global like --engine, set at command start
-   before any domains spawn. Only hashset and bstree under 8-byte-slot
-   representations change behaviour; the committed BENCH_seed.json is
-   recorded (and checked) under the eager default. *)
-type durability_choice =
-  | Structure of Nvmpi_structures.Durable.mode
-  | Snapshot_epochs of Nvmpi_snapshot.Snapshot.granularity
-
-(* Applied at command start, before any domains spawn. The snapshot
-   modes run structure code flush-free (Eager) and move all durability
-   to explicit sync epochs; components that know about the process-wide
-   default (kvstore write path, residency heap choice, conform exec)
-   pick it up through [Snapshot.enabled]. *)
-let set_durability = function
-  | Structure m ->
-      Nvmpi_structures.Durable.set_default_mode m;
-      Nvmpi_snapshot.Snapshot.set_default None
-  | Snapshot_epochs g ->
-      Nvmpi_structures.Durable.set_default_mode Nvmpi_structures.Durable.Eager;
-      Nvmpi_snapshot.Snapshot.set_default (Some g)
-
+(* --durability: the persistence discipline of every machine a
+   subcommand creates (docs/DURABLE.md, docs/SNAPSHOT.md). Taken by the
+   drivers whose workload it changes (bench, fuzz, serve); check re-runs
+   a baseline with its own parameters and crash scenarios fix their own
+   disciplines, so neither takes it. Reports never record it. *)
 let durability =
-  let durability_conv =
-    Arg.enum
-      [
-        ("eager", Structure Nvmpi_structures.Durable.Eager);
-        ("traverse", Structure Nvmpi_structures.Durable.Traverse);
-        ("snapshot", Snapshot_epochs Nvmpi_snapshot.Snapshot.Line);
-        ("snapshot-page", Snapshot_epochs Nvmpi_snapshot.Snapshot.Page);
-      ]
+  let modes =
+    List.map (fun d -> (Core.Durability.to_string d, d)) Core.Durability.all
   in
-  Arg.(value & opt durability_conv (Structure Nvmpi_structures.Durable.Eager)
+  Arg.(value & opt (enum modes) Core.Durability.Eager
        & info [ "durability" ] ~docv:"MODE"
            ~doc:"Persistence discipline: $(b,eager) (legacy, the \
                  default), $(b,traverse) (link-and-persist \
@@ -117,9 +72,7 @@ let bench_cmd =
                    snapshot) are identical to a serial run; only \
                    wall-clock changes.")
   in
-  let run engine durability names scale seed full json jobs =
-    Core.Engine.set_default_mode engine;
-    set_durability durability;
+  let run durability names scale seed full json jobs =
     let open Nvmpi_experiments in
     let params = { Suite.scale; seed; wordcount_full = full } in
     let names =
@@ -129,7 +82,7 @@ let bench_cmd =
     in
     let results =
       if jobs > 1 then begin
-        let results = Suite.run_all ~jobs params names in
+        let results = Suite.run_all ~jobs ~durability params names in
         List.iter
           (fun r -> List.iter Table.print r.Suite.tables)
           results;
@@ -138,7 +91,7 @@ let bench_cmd =
       else
         List.map
           (fun name ->
-            let r = Suite.run params name in
+            let r = Suite.run ~durability params name in
             List.iter Table.print r.Suite.tables;
             r)
           names
@@ -151,8 +104,7 @@ let bench_cmd =
   in
   Cmd.v
     (Cmd.info "bench" ~doc:"Regenerate the paper's evaluation tables/figures.")
-    Term.(const run $ engine $ durability $ names $ scale $ seed $ full
-          $ json $ jobs)
+    Term.(const run $ durability $ names $ scale $ seed $ full $ json $ jobs)
 
 (* check *)
 
@@ -167,9 +119,7 @@ let check_cmd =
          & info [ "tolerance" ]
              ~doc:"Allowed relative deviation per cycle count.")
   in
-  let run engine durability path tolerance =
-    Core.Engine.set_default_mode engine;
-    set_durability durability;
+  let run path tolerance =
     let open Nvmpi_experiments in
     let ( let* ) r f =
       match r with
@@ -197,7 +147,7 @@ let check_cmd =
     (Cmd.info "check"
        ~doc:"Re-run the experiments a benchmark snapshot records and fail \
              on cycle-count regressions beyond the tolerance.")
-    Term.(const run $ engine $ durability $ baseline $ tolerance)
+    Term.(const run $ baseline $ tolerance)
 
 (* run *)
 
@@ -318,10 +268,8 @@ let crash_cmd =
                    --only/--skip-selftest filtering), one per line, and \
                    exit without sweeping.")
   in
-  let run engine durability seed exhaustive sample json skip_selftest jobs
-      wall_json only list_names =
-    Core.Engine.set_default_mode engine;
-    set_durability durability;
+  let run seed exhaustive sample json skip_selftest jobs wall_json only
+      list_names =
     let open Nvmpi_faultsim in
     let mode =
       match sample with
@@ -375,8 +323,8 @@ let crash_cmd =
              the durable image at each point, reopen it at fresh segments \
              and verify recovery invariants for every pointer \
              representation.")
-    Term.(const run $ engine $ durability $ seed $ exhaustive $ sample
-          $ json $ skip_selftest $ jobs $ wall_json $ only $ list_names)
+    Term.(const run $ seed $ exhaustive $ sample $ json $ skip_selftest
+          $ jobs $ wall_json $ only $ list_names)
 
 (* fuzz *)
 
@@ -412,9 +360,7 @@ let fuzz_cmd =
                    s-expression (as printed in a failure report) against \
                    every applicable representation.")
   in
-  let run engine durability seed traces json jobs replay =
-    Core.Engine.set_default_mode engine;
-    set_durability durability;
+  let run durability seed traces json jobs replay =
     let open Nvmpi_conform in
     match replay with
     | Some path -> (
@@ -424,7 +370,7 @@ let fuzz_cmd =
             Printf.eprintf "%s: %s\n" path msg;
             exit 2
         | Ok tr ->
-            let fails = Engine.check_trace ~index:(-1) tr in
+            let fails = Engine.check_trace ~durability ~index:(-1) tr in
             if fails = [] then print_endline "replay: PASS (no divergence)"
             else begin
               List.iter
@@ -438,7 +384,7 @@ let fuzz_cmd =
             end)
     | None ->
         let metrics = Core.Metrics.create () in
-        let report = Engine.run ~jobs ~metrics ~seed ~traces () in
+        let report = Engine.run ~jobs ~metrics ~durability ~seed ~traces () in
         Printf.printf
           "conform: %d traces (seed %d, %d with remaps), %d divergence(s)\n"
           report.Engine.traces report.Engine.seed
@@ -469,8 +415,7 @@ let fuzz_cmd =
              simulated machine, cross-check the position-independent \
              representations pairwise after each remap, and shrink any \
              divergence to a replayable s-expression.")
-    Term.(const run $ engine $ durability $ seed $ traces $ json $ jobs
-          $ replay)
+    Term.(const run $ durability $ seed $ traces $ json $ jobs $ replay)
 
 (* serve *)
 
@@ -554,10 +499,8 @@ let serve_cmd =
                    domains. The report (and its JSON) is identical to a \
                    serial run; only wall-clock changes.")
   in
-  let run engine durability tenants theta mix churn ops seed shards resident
-      keys value_bytes reprs json jobs =
-    Core.Engine.set_default_mode engine;
-    set_durability durability;
+  let run durability tenants theta mix churn ops seed shards resident keys
+      value_bytes reprs json jobs =
     let fail msg =
       Printf.eprintf "serve: %s\n" msg;
       exit 2
@@ -584,7 +527,7 @@ let serve_cmd =
     (match Server.validate config with
     | Ok () -> ()
     | Error msg -> fail msg);
-    let report = Server.run ~jobs config in
+    let report = Server.run ~jobs ~durability config in
     Server.print_report report;
     match json with
     | None -> ()
@@ -598,9 +541,8 @@ let serve_cmd =
              deterministic request loop and drive a YCSB-style zipfian \
              workload across every pointer representation, with LRU \
              map/unmap residency churn.")
-    Term.(const run $ engine $ durability $ tenants $ theta $ mix $ churn
-          $ ops $ seed $ shards
-          $ resident $ keys $ value_bytes $ reprs $ json $ jobs)
+    Term.(const run $ durability $ tenants $ theta $ mix $ churn $ ops $ seed
+          $ shards $ resident $ keys $ value_bytes $ reprs $ json $ jobs)
 
 (* inspect *)
 

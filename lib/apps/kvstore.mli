@@ -18,8 +18,8 @@
       un-instrumented — no undo logging, no flush, no fence — and the
       caller makes whole epochs durable with
       {!Nvmpi_snapshot.Snapshot.sync}. The default flips to [`Plain]
-      when [Nvmpi_snapshot.Snapshot.enabled ()] (the [--durability
-      snapshot] flag).
+      when the object store's machine runs a snapshot discipline
+      ({!Core.Durability.is_snapshot}).
 
     The whole store is anchored at a named NVRoot and survives region
     remaps. *)

@@ -100,12 +100,13 @@ let compare_pairwise results group =
                   (Repr.to_string k0) (Repr.to_string k) c0 c ))
         rest
 
-let run_exec ?obs_metrics kind tr =
-  Exec.run ?obs_metrics ~kind tr
-
 (** Checks one trace against the oracle and pairwise; failures carry
-    already-shrunk traces. Exposed for tests and [--replay]. *)
-let check_trace ?metrics ~index (tr : Trace.t) : failure list =
+    already-shrunk traces. Exposed for tests and [--replay]. Every
+    machine runs under [durability] (default eager). *)
+let check_trace ?metrics ?durability ~index (tr : Trace.t) : failure list =
+  let run_exec ?obs_metrics kind tr =
+    Exec.run ?obs_metrics ?durability ~kind tr
+  in
   (match metrics with
   | Some m -> Metrics.incr m "conform.traces"
   | None -> ());
@@ -171,7 +172,7 @@ let check_trace ?metrics ~index (tr : Trace.t) : failure list =
   | _ -> ());
   failures
 
-let run ?(jobs = 1) ?metrics ~seed ~traces () : report =
+let run ?(jobs = 1) ?metrics ?durability ~seed ~traces () : report =
   let indices = List.init traces (fun i -> i) in
   let chunks = Pool.chunks ~jobs indices in
   (* One private registry per chunk, merged in input order afterwards:
@@ -188,7 +189,7 @@ let run ?(jobs = 1) ?metrics ~seed ~traces () : report =
           List.map
             (fun i ->
               let tr = Gen.trace ~seed ~index:i () in
-              let fails = check_trace ~metrics:priv ~index:i tr in
+              let fails = check_trace ~metrics:priv ?durability ~index:i tr in
               (tr, fails))
             chunk
         in

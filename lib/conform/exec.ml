@@ -65,14 +65,9 @@ type shandle = {
 
 let struct_name st = "c-" ^ Trace.structure_name st
 
-(* The structure-handle constructor for one representation, applied
-   statically to all nine representations below (the staged engine's
-   pre-instantiated set) and dynamically to [(val Repr.m kind)] when
-   the dispatch engine is selected. *)
-module Shandle_of (P : Core.Repr_sig.S) = struct
-  module SP = Nvmpi_structures.Specialized.Spec (P)
-
-  let make node st ~create =
+(* The structure-handle constructor over one specialized structure set
+   (the representation is fixed by [SP]; no functor is applied here). *)
+let make_shandle (module SP : Nvmpi_structures.Specialized.S) node st ~create =
   let name = struct_name st in
   match (st : Trace.structure) with
   | Slist ->
@@ -121,54 +116,24 @@ module Shandle_of (P : Core.Repr_sig.S) = struct
         s_swz = (fun () -> T.swizzle t);
         s_unswz = (fun () -> T.unswizzle t);
       }
-end
 
-module H_normal = Shandle_of (Core.Normal_ptr)
-module H_off_holder = Shandle_of (Core.Off_holder)
-module H_riv = Shandle_of (Core.Riv)
-module H_fat = Shandle_of (Core.Fat)
-module H_fat_cached = Shandle_of (Core.Fat_cached)
-module H_based = Shandle_of (Core.Based_ptr)
-module H_swizzle = Shandle_of (Core.Swizzle)
-module H_packed_fat = Shandle_of (Core.Packed_fat)
-module H_hw_oid = Shandle_of (Core.Hw_oid)
-
-let make_shandle_staged kind node st ~create =
-  match (kind : Core.Repr.kind) with
-  | Normal -> H_normal.make node st ~create
-  | Off_holder -> H_off_holder.make node st ~create
-  | Riv -> H_riv.make node st ~create
-  | Fat -> H_fat.make node st ~create
-  | Fat_cached -> H_fat_cached.make node st ~create
-  | Based -> H_based.make node st ~create
-  | Swizzle -> H_swizzle.make node st ~create
-  | Packed_fat -> H_packed_fat.make node st ~create
-  | Hw_oid -> H_hw_oid.make node st ~create
-
-let run ?obs_metrics ?repr ~kind (tr : Trace.t) : result =
-  (* Engine selection, bound once per trace: the staged path goes
-     through the pre-instantiated handles and per-kind direct dispatch;
-     the dispatch path reproduces the historical behaviour — unpack a
-     first-class module once and apply the structure functors at
-     runtime. [?repr] forces the dispatch path with an arbitrary module
-     standing in for [kind] — the harness self-test injects a
-     deliberately buggy representation through it. *)
-  let dispatch (module P : Core.Repr_sig.S) =
-    let module H = Shandle_of (P) in
-    ( H.make,
-      (fun m ~holder v -> P.store m ~holder v),
-      fun m ~holder -> P.load m ~holder )
-  in
-  let make_shandle, pstore, pload =
+let run ?obs_metrics ?repr ?durability ~kind (tr : Trace.t) : result =
+  (* Bound once per trace: the [Specialized.of_kind] structure set plus
+     per-kind direct dispatch for the playground slots. [?repr] applies
+     the structure functors at run time to an arbitrary module standing
+     in for [kind] — the harness self-test injects a deliberately buggy
+     representation through it. *)
+  let spec, pstore, pload =
     match repr with
-    | Some p -> dispatch p
-    | None -> (
-        match Core.Engine.mode () with
-        | Core.Engine.Staged ->
-            ( make_shandle_staged kind,
-              (fun m ~holder v -> Core.Engine.store kind m ~holder v),
-              fun m ~holder -> Core.Engine.load kind m ~holder )
-        | Core.Engine.Dispatch -> dispatch (Core.Repr.m kind))
+    | Some (module P : Core.Repr_sig.S) ->
+        ( (module Nvmpi_structures.Specialized.Spec (P)
+            : Nvmpi_structures.Specialized.S),
+          (fun m ~holder v -> P.store m ~holder v),
+          fun m ~holder -> P.load m ~holder )
+    | None ->
+        ( Nvmpi_structures.Specialized.of_kind kind,
+          (fun m ~holder v -> Core.Engine.store kind m ~holder v),
+          fun m ~holder -> Core.Engine.load kind m ~holder )
   in
   let nops = List.length tr.ops in
   let obs = Array.make nops Skipped in
@@ -180,7 +145,7 @@ let run ?obs_metrics ?repr ~kind (tr : Trace.t) : result =
   in
   try
     let store = Store.create () in
-    let m = Machine.create ~seed:tr.mseed ~store () in
+    let m = Machine.create ~seed:tr.mseed ?durability ~store () in
     let rid0 = Machine.create_region m ~size:region_size in
     let rid1 = Machine.create_region m ~size:region_size in
     let r0 = ref (Machine.open_region m rid0) in
@@ -215,8 +180,7 @@ let run ?obs_metrics ?repr ~kind (tr : Trace.t) : result =
     (* Pressure-relief valve: an epoch's log records must fit the WAL,
        so close the epoch early when the dirty set approaches capacity.
        Identical across representations in effect (sync has no
-       observable) and across engines (both issue bit-identical access
-       streams, hence identical dirty sets). *)
+       observable). *)
     let relieve s =
       if
         Snapshot.pending_log_bytes s + 12288 > Snapshot.log_capacity s
@@ -243,7 +207,7 @@ let run ?obs_metrics ?repr ~kind (tr : Trace.t) : result =
     let build ~create =
       let node = fresh_node () in
       structs :=
-        List.map (fun st -> (st, make_shandle node st ~create))
+        List.map (fun st -> (st, make_shandle spec node st ~create))
           tr.structures
     in
     build ~create:true;

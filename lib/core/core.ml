@@ -20,6 +20,7 @@
       assert (P.load m ~holder:slot = obj)
     ]} *)
 
+module Durability = Durability
 module Machine = Machine
 module Nvspace = Nvspace
 module Fat_table = Fat_table

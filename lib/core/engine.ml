@@ -1,119 +1,12 @@
-(** Staged per-representation execution engines.
+(** Per-kind direct dispatch into the nine pointer representations.
 
-    Each of the nine pointer representations gets a dedicated engine
-    module: the representation's own [store]/[load] (which already run
-    on the staged primitives — pre-resolved counter cells via
-    {!Machine.bump}, fused memory accesses via {!Machine.load64_fast})
-    plus a fused [deref] composing pointer decode with the dependent
-    data load. Because the engine modules are ordinary static modules
-    (not first-class values unpacked per call), every call into one is
-    a direct, known call the compiler can inline through — no module
-    projection on the hot path.
-
-    The dynamic path stays available: {!Repr.m} still hands out the
-    same representation modules as first-class values, and {!store}/
-    {!load}/{!deref} below give per-kind direct dispatch (one match, no
-    module unpacking) for callers that select the representation at
-    runtime. [--engine dispatch] on the benchmark harness forces the
-    first-class-module path so the two can be compared and bisected;
-    both are observationally identical by construction — they are the
-    same representation code reached through different call graphs. *)
-
-module Vaddr = Nvmpi_addr.Kinds.Vaddr
-
-(** An engine: a representation plus the fused dereference. *)
-module type S = sig
-  include Repr_sig.S
-
-  val kind : Repr.kind
-
-  val deref : Machine.t -> holder:Vaddr.t -> int
-  (** [deref m ~holder] decodes the pointer in [holder] and loads the
-      64-bit word it targets — the paper's unit of comparison (a few
-      bit transformations plus the dependent load). The holder must
-      hold a non-null pointer. *)
-end
-
-module Make (R : sig
-  include Repr_sig.S
-
-  val kind : Repr.kind
-end) : S = struct
-  include R
-
-  let[@inline] deref m ~holder = Machine.load64_fast m (R.load m ~holder)
-end
-
-module Normal = Make (struct
-  include Normal_ptr
-
-  let kind = Repr.Normal
-end)
-
-module Off_holder_e = Make (struct
-  include Off_holder
-
-  let kind = Repr.Off_holder
-end)
-
-module Riv_e = Make (struct
-  include Riv
-
-  let kind = Repr.Riv
-end)
-
-module Fat_e = Make (struct
-  include Fat
-
-  let kind = Repr.Fat
-end)
-
-module Fat_cached_e = Make (struct
-  include Fat_cached
-
-  let kind = Repr.Fat_cached
-end)
-
-module Based = Make (struct
-  include Based_ptr
-
-  let kind = Repr.Based
-end)
-
-module Swizzle_e = Make (struct
-  include Swizzle
-
-  let kind = Repr.Swizzle
-end)
-
-module Packed_fat_e = Make (struct
-  include Packed_fat
-
-  let kind = Repr.Packed_fat
-end)
-
-module Hw_oid_e = Make (struct
-  include Hw_oid
-
-  let kind = Repr.Hw_oid
-end)
-
-let of_kind : Repr.kind -> (module S) = function
-  | Repr.Normal -> (module Normal)
-  | Repr.Off_holder -> (module Off_holder_e)
-  | Repr.Riv -> (module Riv_e)
-  | Repr.Fat -> (module Fat_e)
-  | Repr.Fat_cached -> (module Fat_cached_e)
-  | Repr.Based -> (module Based)
-  | Repr.Swizzle -> (module Swizzle_e)
-  | Repr.Packed_fat -> (module Packed_fat_e)
-  | Repr.Hw_oid -> (module Hw_oid_e)
-
-(* Per-kind direct dispatch: one match on the kind, then a direct call
-   into the representation module. This is the staged replacement for
-   [let (module R) = Repr.m k in R.store ...] at call sites that keep
-   the kind as a runtime value (the conformance executor, the KV store):
-   no first-class module is unpacked, no closure is built per call. *)
+    Call sites that keep the representation kind as a runtime value
+    (the conformance executor, the KV store, the probes) go through
+    {!store}/{!load}/{!deref}: one match on the kind, then a direct call
+    into the representation module — no first-class module unpacked and
+    no closure built per call. Structure code reaches the same modules
+    through the static [Spec] applications of
+    [Nvmpi_structures.Specialized]. *)
 
 let store k m ~holder target =
   match k with
@@ -139,38 +32,8 @@ let load k m ~holder =
   | Repr.Packed_fat -> Packed_fat.load m ~holder
   | Repr.Hw_oid -> Hw_oid.load m ~holder
 
-let deref k m ~holder =
-  match k with
-  | Repr.Normal -> Normal.deref m ~holder
-  | Repr.Off_holder -> Off_holder_e.deref m ~holder
-  | Repr.Riv -> Riv_e.deref m ~holder
-  | Repr.Fat -> Fat_e.deref m ~holder
-  | Repr.Fat_cached -> Fat_cached_e.deref m ~holder
-  | Repr.Based -> Based.deref m ~holder
-  | Repr.Swizzle -> Swizzle_e.deref m ~holder
-  | Repr.Packed_fat -> Packed_fat_e.deref m ~holder
-  | Repr.Hw_oid -> Hw_oid_e.deref m ~holder
-
-(** {1 Engine selection}
-
-    Which call graph instance construction uses: [Staged] goes through
-    the pre-instantiated specialized modules, [Dispatch] through the
-    historical first-class-module path ({!Repr.m} unpacked at
-    construction). The selector is a process-wide default (set once at
-    startup by the benchmark harness's [--engine] flag, before any
-    domains are spawned) rather than a per-suite parameter, so the
-    recorded experiment parameters — and hence every snapshot and
-    report schema — are unchanged. *)
-
-type mode = Staged | Dispatch
-
-let mode_to_string = function Staged -> "staged" | Dispatch -> "dispatch"
-
-let mode_of_string = function
-  | "staged" -> Some Staged
-  | "dispatch" -> Some Dispatch
-  | _ -> None
-
-let default_mode = ref Staged
-let set_default_mode m = default_mode := m
-let mode () = !default_mode
+(** [deref k m ~holder] decodes the pointer in [holder] and loads the
+    64-bit word it targets through the fused access — the paper's unit
+    of comparison (a few bit transformations plus the dependent load).
+    The holder must hold a non-null pointer. *)
+let deref k m ~holder = Machine.load64_fast m (load k m ~holder)

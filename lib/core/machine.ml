@@ -58,6 +58,7 @@ type t = {
   fat : Fat_table.t;
   metrics : Metrics.t;
   cells : Metrics.Handle.t array;
+  durability : Durability.t;
   mutable based_base : Vaddr.t;
       (* Vaddr.null = unset; the data area never contains address 0 *)
   mutable crash_hook : (unit -> unit) option;
@@ -78,7 +79,8 @@ let globals_off = fat_list_off + (fat_list_cap * 16)
 let heap_off = globals_off + 4096
 let dram_size = 512 * 1024 * 1024
 
-let create ?(layout = Layout.default) ?cfg ?metrics ?seed ~store () =
+let create ?(layout = Layout.default) ?cfg ?metrics ?seed
+    ?(durability = Durability.Eager) ~store () =
   let metrics =
     match metrics with Some m -> m | None -> Metrics.create ()
   in
@@ -110,6 +112,7 @@ let create ?(layout = Layout.default) ?cfg ?metrics ?seed ~store () =
     fat;
     metrics;
     cells = Array.make Cell.slots Metrics.Handle.unresolved;
+    durability;
     based_base = Vaddr.null;
     crash_hook = None;
     dram_cursor = dram_base + heap_off;

@@ -66,6 +66,9 @@ type t = {
   cells : Nvmpi_obs.Metrics.Handle.t array;
       (** lazily resolved counter handles, indexed by {!Cell} constants;
           use {!bump}/{!cell}, never index directly *)
+  durability : Durability.t;
+      (** the persistence discipline structures and stores built on
+          this machine follow; fixed at {!create} *)
   mutable based_base : Nvmpi_addr.Kinds.Vaddr.t;
       (** base register for based pointers; {!Nvmpi_addr.Kinds.Vaddr.null}
           = unset *)
@@ -94,13 +97,15 @@ val create :
   ?cfg:Nvmpi_cachesim.Timing_config.t ->
   ?metrics:Nvmpi_obs.Metrics.t ->
   ?seed:int ->
+  ?durability:Durability.t ->
   store:Nvmpi_nvregion.Store.t ->
   unit ->
   t
 (** A fresh address space over [store]. [seed] fixes region placement
     (tests); without it placement is randomized per machine. [metrics]
     lets several machines share one counter registry; by default each
-    machine owns a fresh one. *)
+    machine owns a fresh one. [durability] defaults to
+    {!Durability.Eager}. *)
 
 (** {1 Regions} *)
 

@@ -3,7 +3,7 @@ module Timing_config = Nvmpi_cachesim.Timing_config
 module Json = Nvmpi_obs.Json
 
 let scaled scale n = max 100 (int_of_float (float_of_int n *. scale))
-let seeded seed cfg = match seed with None -> cfg | Some seed -> { cfg with Runner.seed }
+let seeded = Figures.seeded
 
 (* Shared slowdown runner against a per-structure normal baseline. *)
 let sweep cfg reprs = Figures.slowdowns cfg reprs
@@ -11,14 +11,14 @@ let sweep cfg reprs = Figures.slowdowns cfg reprs
 let cells results =
   List.map (fun (_, o) -> Table.cell_opt (Figures.value o)) results
 
-let translation ?(scale = 1.0) ?seed () =
+let translation ?(scale = 1.0) ?seed ?durability () =
   let reprs = [ Repr.Hw_oid; Repr.Riv; Repr.Packed_fat; Repr.Fat ] in
   let rows, records =
     List.split
       (List.map
          (fun structure ->
            let cfg =
-             seeded seed
+             seeded ?durability seed
                {
                  Runner.default with
                  Runner.structure;
@@ -48,7 +48,7 @@ let translation ?(scale = 1.0) ?seed () =
     records;
   }
 
-let latency_sweep ?(scale = 1.0) ?seed () =
+let latency_sweep ?(scale = 1.0) ?seed ?durability () =
   let latencies = [ 150; 300; 600; 1200 ] in
   let reprs = [ Repr.Off_holder; Repr.Riv; Repr.Fat ] in
   let rows, records =
@@ -58,7 +58,7 @@ let latency_sweep ?(scale = 1.0) ?seed () =
            (* Cold caches + a single traversal: every node load actually
               reaches the emulated NVM. *)
            let cfg =
-             seeded seed
+             seeded ?durability seed
                {
                  Runner.default with
                  Runner.elems = scaled scale 10_000;
@@ -93,7 +93,7 @@ let latency_sweep ?(scale = 1.0) ?seed () =
     records;
   }
 
-let cache_pressure ?(scale = 1.0) ?seed () =
+let cache_pressure ?(scale = 1.0) ?seed ?durability () =
   let sizes = [ 1_000; 10_000; 50_000 ] in
   let reprs = [ Repr.Off_holder; Repr.Riv; Repr.Fat ] in
   let rows, records =
@@ -101,7 +101,7 @@ let cache_pressure ?(scale = 1.0) ?seed () =
       (List.map
          (fun n ->
            let cfg =
-             seeded seed
+             seeded ?durability seed
                {
                  Runner.default with
                  Runner.elems = scaled scale n;
@@ -126,7 +126,7 @@ let cache_pressure ?(scale = 1.0) ?seed () =
 
 (* Where the cycles go: per-representation memory-system behaviour for
    one traversal workload. *)
-let cache_stats ?(scale = 1.0) ?seed () =
+let cache_stats ?(scale = 1.0) ?seed ?durability () =
   let module Timing = Nvmpi_cachesim.Timing in
   let module Cache_level = Nvmpi_cachesim.Cache_level in
   let reprs =
@@ -137,7 +137,7 @@ let cache_stats ?(scale = 1.0) ?seed () =
       (List.map
          (fun repr ->
            let cfg =
-             seeded seed
+             seeded ?durability seed
                {
                  Runner.default with
                  Runner.repr;
@@ -187,7 +187,7 @@ let cache_stats ?(scale = 1.0) ?seed () =
 
 (* The Figure 12 experiment repeated on the structures this library adds
    beyond the paper's four. *)
-let extension_structures ?(scale = 1.0) ?seed () =
+let extension_structures ?(scale = 1.0) ?seed ?durability () =
   let reprs = [ Repr.Swizzle; Repr.Fat; Repr.Riv; Repr.Off_holder; Repr.Based ] in
   let rows, records =
     List.split
@@ -203,7 +203,7 @@ let extension_structures ?(scale = 1.0) ?seed () =
              | _ -> scaled scale 10_000
            in
            let cfg =
-             seeded seed
+             seeded ?durability seed
                { Runner.default with Runner.structure; elems; traversals = 10 }
            in
            let (_, results) as run =
@@ -228,7 +228,9 @@ let extension_structures ?(scale = 1.0) ?seed () =
     records;
   }
 
-let all ?(scale = 1.0) ?seed () =
-  [ translation ~scale ?seed (); latency_sweep ~scale ?seed ();
-    cache_pressure ~scale ?seed (); cache_stats ~scale ?seed ();
-    extension_structures ~scale ?seed () ]
+let all ?(scale = 1.0) ?seed ?durability () =
+  [ translation ~scale ?seed ?durability ();
+    latency_sweep ~scale ?seed ?durability ();
+    cache_pressure ~scale ?seed ?durability ();
+    cache_stats ~scale ?seed ?durability ();
+    extension_structures ~scale ?seed ?durability () ]

@@ -12,17 +12,18 @@
       showing how fat pointers' doubled slot size spills working sets
       out of cache earlier. *)
 
-val translation : ?scale:float -> ?seed:int -> unit -> Table.t
-val latency_sweep : ?scale:float -> ?seed:int -> unit -> Table.t
-val cache_pressure : ?scale:float -> ?seed:int -> unit -> Table.t
+val translation : Figures.experiment
+val latency_sweep : Figures.experiment
+val cache_pressure : Figures.experiment
 
-val cache_stats : ?scale:float -> ?seed:int -> unit -> Table.t
+val cache_stats : Figures.experiment
 (** Memory-system behaviour per representation on one workload: cache
     hit rates per level, NVM reads and ALU cycles of the measured phase,
     and absolute cycles per traversal. *)
 
-val extension_structures : ?scale:float -> ?seed:int -> unit -> Table.t
+val extension_structures : Figures.experiment
 (** The Figure 12 experiment on the structures this library adds beyond
     the paper's four (doubly linked list, graph, B+ tree). *)
 
-val all : ?scale:float -> ?seed:int -> unit -> Table.t list
+val all : ?scale:float -> ?seed:int -> ?durability:Core.Durability.t -> unit ->
+  Table.t list

@@ -41,11 +41,11 @@ let value_for ~key ~op ~len =
   let n = String.length base in
   if n >= len then String.sub base 0 len else base ^ String.make (len - n) 'x'
 
-let run_repr ~ops ~seed repr =
+let run_repr ~ops ~seed ?durability repr =
   let store = Store.create () in
   (* Same placement seed for every representation: identical region
      draws, identical request stream — apples-to-apples. *)
-  let machine = Machine.create ~seed ~store () in
+  let machine = Machine.create ~seed ?durability ~store () in
   let rid = Machine.create_region machine ~size:(1 lsl 20) in
   let region = Machine.open_region machine rid in
   if repr = Repr.Based then Machine.set_based_region machine rid;
@@ -72,14 +72,14 @@ let run_repr ~ops ~seed repr =
   Objstore.heap_check os;
   (cycles, counters)
 
-let table ?(scale = 1.0) ?seed () =
+let table ?(scale = 1.0) ?seed ?durability () =
   let seed = Option.value seed ~default:11 in
   let ops = scaled scale 4000 in
   let rows, records =
     List.split
       (List.map
          (fun repr ->
-           let cycles, counters = run_repr ~ops ~seed repr in
+           let cycles, counters = run_repr ~ops ~seed ?durability repr in
            let col name =
              string_of_int (Option.value ~default:0 (List.assoc_opt name counters))
            in

@@ -8,8 +8,16 @@ module Wordcount = Nvmpi_apps.Wordcount
 module Text_gen = Nvmpi_apps.Text_gen
 module Json = Nvmpi_obs.Json
 
+type experiment =
+  ?scale:float -> ?seed:int -> ?durability:Core.Durability.t -> unit -> Table.t
+
 let scaled scale n = max 100 (int_of_float (float_of_int n *. scale))
-let seeded seed cfg = match seed with None -> cfg | Some seed -> { cfg with Runner.seed }
+
+(* The suite-level overrides on a runner configuration: the workload
+   seed (when given) and the machine's durability discipline. *)
+let seeded ?(durability = Core.Durability.Eager) seed cfg =
+  let cfg = { cfg with Runner.durability } in
+  match seed with None -> cfg | Some seed -> { cfg with Runner.seed }
 
 let ratio m b =
   float_of_int m.Runner.measured_cycles /. float_of_int b.Runner.measured_cycles
@@ -115,9 +123,9 @@ let fig12_paper structure repr =
   | Repr.Based, _ -> Some 1.03
   | _ -> None
 
-let fig12 ?(scale = 1.0) ?seed () =
+let fig12 ?(scale = 1.0) ?seed ?durability () =
   let cfg =
-    seeded seed
+    seeded ?durability seed
       { Runner.default with Runner.elems = scaled scale 10_000; traversals = 10 }
   in
   let rows, records =
@@ -166,14 +174,14 @@ let payload_paper payload repr =
   | 256, Repr.Swizzle -> Some 3.0
   | _ -> None
 
-let payload_sweep ?(scale = 1.0) ?seed () =
+let payload_sweep ?(scale = 1.0) ?seed ?durability () =
   let payloads = [ 32; 256 ] in
   let rows, records =
     List.split
       (List.map
          (fun payload ->
            let cfg =
-             seeded seed
+             seeded ?durability seed
                {
                  Runner.default with
                  Runner.elems = scaled scale 10_000;
@@ -238,7 +246,7 @@ let table1_paper =
     (Instance.Trie, [ 3.67; 1.30; 1.04 ]);
   ]
 
-let table1 ?(scale = 1.0) ?seed () =
+let table1 ?(scale = 1.0) ?seed ?durability () =
   let traversal_counts = [ 1; 10; 100 ] in
   let rows, records =
     List.split
@@ -251,7 +259,7 @@ let table1 ?(scale = 1.0) ?seed () =
                (List.map2
                   (fun traversals paper ->
                     let cfg =
-                      seeded seed
+                      seeded ?durability seed
                         {
                           Runner.default with
                           Runner.structure;
@@ -310,7 +318,7 @@ let fig14_paper repr =
   | Repr.Riv -> Some 1.4
   | _ -> None
 
-let tx_figure ~title ~regions ~paper ~scale ~seed ~notes =
+let tx_figure ~title ~regions ~paper ~scale ~seed ~durability ~notes =
   let elems = scaled scale 10_000 in
   let workloads =
     [ ("traverse", 10, 0); ("search", 0, scaled scale 10_000) ]
@@ -322,7 +330,7 @@ let tx_figure ~title ~regions ~paper ~scale ~seed ~notes =
            List.map
              (fun (wname, traversals, searches) ->
                let cfg =
-                 seeded seed
+                 seeded ?durability seed
                    {
                      Runner.default with
                      Runner.structure;
@@ -351,24 +359,24 @@ let tx_figure ~title ~regions ~paper ~scale ~seed ~notes =
     records;
   }
 
-let fig13 ?(scale = 1.0) ?seed () =
+let fig13 ?(scale = 1.0) ?seed ?durability () =
   tx_figure
     ~title:
       "Figure 13: slowdown vs normal pointers (transactional object store, \
        1 NVRegion)"
-    ~regions:1 ~paper:fig13_paper ~scale ~seed
+    ~regions:1 ~paper:fig13_paper ~scale ~seed ~durability
     ~notes:
       [
         "PMEM.IO-like store: 128 B wrapped objects, read-accessor \
          bookkeeping; paper averages in parens";
       ]
 
-let fig14 ?(scale = 1.0) ?seed () =
+let fig14 ?(scale = 1.0) ?seed ?durability () =
   tx_figure
     ~title:
       "Figure 14: slowdown vs normal pointers (transactional, 10 NVRegions, \
        round-robin)"
-    ~regions:10 ~paper:fig14_paper ~scale ~seed
+    ~regions:10 ~paper:fig14_paper ~scale ~seed ~durability
     ~notes:
       [
         "off-holder and based pointers are intra-region only: not \
@@ -379,7 +387,7 @@ let fig14 ?(scale = 1.0) ?seed () =
 
 (* Region-count sweep ------------------------------------------------ *)
 
-let regions_sweep ?(scale = 1.0) ?seed () =
+let regions_sweep ?(scale = 1.0) ?seed ?durability () =
   let counts = [ 1; 2; 4; 8; 10 ] in
   let reprs = [ Repr.Fat; Repr.Fat_cached; Repr.Riv ] in
   let rows, records =
@@ -387,7 +395,7 @@ let regions_sweep ?(scale = 1.0) ?seed () =
       (List.map
          (fun regions ->
            let cfg =
-             seeded seed
+             seeded ?durability seed
                {
                  Runner.default with
                  Runner.elems = scaled scale 10_000;
@@ -441,9 +449,9 @@ let fig15_paper_vs_fat = function
   | Repr.Riv -> Some 0.67
   | _ -> None
 
-let wordcount_run ?(seed = 7) ~repr ~nwords ~vocab () =
+let wordcount_run ?(seed = 7) ?durability ~repr ~nwords ~vocab () =
   let store = Store.create () in
-  let machine = Machine.create ~seed ~store () in
+  let machine = Machine.create ~seed ?durability ~store () in
   let slot = Repr.slot_size repr in
   let size = (vocab * ((2 * slot) + 8 + 32 + 64) * 2) + (1 lsl 20) in
   let r = Machine.open_region machine (Machine.create_region machine ~size) in
@@ -461,7 +469,7 @@ let wordcount_run ?(seed = 7) ~repr ~nwords ~vocab () =
   in
   (result, cycles, counters)
 
-let fig15 ?(scale = 1.0) ?seed ?(full = false) () =
+let fig15 ?(scale = 1.0) ?seed ?durability ?(full = false) () =
   let sizes =
     if full then [ 1_000_000; 2_000_000 ]
     else [ scaled scale 200_000; scaled scale 400_000 ]
@@ -475,7 +483,7 @@ let fig15 ?(scale = 1.0) ?seed ?(full = false) () =
              List.map
                (fun repr ->
                  let _, cycles, counters =
-                   wordcount_run ?seed ~repr ~nwords ~vocab ()
+                   wordcount_run ?seed ?durability ~repr ~nwords ~vocab ()
                  in
                  (repr, cycles, counters))
                fig15_reprs
@@ -532,9 +540,9 @@ let fig15 ?(scale = 1.0) ?seed ?(full = false) () =
 
 (* RIV read-cost breakdown ------------------------------------------- *)
 
-let breakdown ?(scale = 1.0) ?seed () =
+let breakdown ?(scale = 1.0) ?seed ?durability () =
   let cfg =
-    seeded seed
+    seeded ?durability seed
       {
         Runner.default with
         Runner.repr = Repr.Riv;
@@ -576,15 +584,3 @@ let breakdown ?(scale = 1.0) ?seed () =
           ];
       ];
   }
-
-let all ?(scale = 1.0) ?seed ?(wordcount_full = false) () =
-  [
-    fig12 ~scale ?seed ();
-    payload_sweep ~scale ?seed ();
-    table1 ~scale ?seed ();
-    fig13 ~scale ?seed ();
-    fig14 ~scale ?seed ();
-    regions_sweep ~scale ?seed ();
-    fig15 ~scale ?seed ~full:wordcount_full ();
-    breakdown ~scale ?seed ();
-  ]

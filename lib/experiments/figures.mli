@@ -67,31 +67,43 @@ val sweep_record :
 (** The standard record for one {!slowdowns} row: a ["normal"] baseline
     cell followed by one cell per applicable representation. *)
 
-val fig12 : ?scale:float -> ?seed:int -> unit -> Table.t
+type experiment =
+  ?scale:float -> ?seed:int -> ?durability:Core.Durability.t -> unit -> Table.t
+(** A suite experiment: [scale] multiplies workload sizes, [seed]
+    overrides the fixed workload seed, and [durability] (default eager)
+    is the discipline of every machine the experiment creates. *)
+
+val seeded :
+  ?durability:Core.Durability.t -> int option -> Runner.config -> Runner.config
+(** Applies an experiment's [seed] (when given) and [durability] to a
+    runner configuration. *)
+
+val fig12 : experiment
 (** Figure 12: non-transactional traversal slowdowns, one NVRegion,
     32-byte payload, for the four data structures. *)
 
-val payload_sweep : ?scale:float -> ?seed:int -> unit -> Table.t
+val payload_sweep : experiment
 (** Section 6.2's payload experiment: average slowdown per method at 32-
     and 256-byte payloads. Records carry the per-structure runs the
     rendered averages are taken over. *)
 
-val table1 : ?scale:float -> ?seed:int -> unit -> Table.t
+val table1 : experiment
 (** Table 1: pointer-swizzling overhead after 1, 10 and 100 traversals.
     One record per (structure, traversal-count) run. *)
 
-val fig13 : ?scale:float -> ?seed:int -> unit -> Table.t
+val fig13 : experiment
 (** Figure 13: transactional (PMEM.IO-like object store), one NVRegion,
     traversal and random-search workloads. *)
 
-val fig14 : ?scale:float -> ?seed:int -> unit -> Table.t
+val fig14 : experiment
 (** Figure 14: transactional, elements striped over 10 NVRegions. *)
 
-val regions_sweep : ?scale:float -> ?seed:int -> unit -> Table.t
+val regions_sweep : experiment
 (** Section 6.3's region-count sweep (2/4/8/10 regions). *)
 
 val wordcount_run :
   ?seed:int ->
+  ?durability:Core.Durability.t ->
   repr:Core.Repr.kind ->
   nwords:int ->
   vocab:int ->
@@ -101,14 +113,13 @@ val wordcount_run :
     in simulated cycles, and the metric deltas over the counting
     phase. *)
 
-val fig15 : ?scale:float -> ?seed:int -> ?full:bool -> unit -> Table.t
+val fig15 :
+  ?scale:float -> ?seed:int -> ?durability:Core.Durability.t -> ?full:bool ->
+  unit -> Table.t
 (** Figure 15: wordcount execution times at two input sizes.
     [full] uses the paper's 1M/2M-word inputs (slow). *)
 
-val breakdown : ?scale:float -> ?seed:int -> unit -> Table.t
+val breakdown : experiment
 (** Section 6.2's RIV read-cost breakdown: share of cycles spent
     extracting fields, computing the base address, and finishing the
     read. Its record carries the absolute per-phase cycle counts. *)
-
-val all : ?scale:float -> ?seed:int -> ?wordcount_full:bool -> unit -> Table.t list
-(** Every experiment, in paper order. *)

@@ -38,3 +38,15 @@ val create :
 val attach :
   structure -> Core.Repr.kind -> Nvmpi_structures.Node.t -> name:string -> t
 (** Re-opens a structure created earlier (possibly in another run). *)
+
+val of_spec :
+  (module Nvmpi_structures.Specialized.S) ->
+  structure ->
+  Nvmpi_structures.Node.t ->
+  name:string ->
+  fresh:bool ->
+  t
+(** The constructor behind {!create} ([fresh:true]) and {!attach}
+    ([fresh:false]) over an explicit structure set — theirs is
+    [Specialized.of_kind kind]; a test can pass
+    [Specialized.Spec ((val Repr.m kind))] to check the table entry. *)

@@ -20,6 +20,7 @@ type config = {
   seed : int;
   timing : Nvmpi_cachesim.Timing_config.t;
   cold : bool;  (* invalidate caches between populate and measurement *)
+  durability : Core.Durability.t;
 }
 
 let default =
@@ -35,6 +36,7 @@ let default =
     seed = 42;
     timing = Nvmpi_cachesim.Timing_config.default;
     cold = false;
+    durability = Core.Durability.Eager;
   }
 
 type measurement = {
@@ -103,7 +105,10 @@ let setup cfg =
       (Printf.sprintf "Runner: %s does not support %d regions"
          (Repr.to_string cfg.repr) cfg.regions);
   let store = Store.create () in
-  let machine = Machine.create ~cfg:cfg.timing ~seed:cfg.seed ~store () in
+  let machine =
+    Machine.create ~cfg:cfg.timing ~seed:cfg.seed ~durability:cfg.durability
+      ~store ()
+  in
   let size = region_size cfg in
   let regions =
     Array.init cfg.regions (fun _ ->

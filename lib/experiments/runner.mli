@@ -27,11 +27,12 @@ type config = {
       (** invalidate all caches between population and measurement,
           modelling a freshly mapped region whose contents only exist in
           NVM *)
+  durability : Core.Durability.t;  (** the machine's discipline *)
 }
 
 val default : config
 (** list / normal / 10000 elements / 32-byte payload / 1 region /
-    non-transactional / 10 traversals / 0 searches / seed 42. *)
+    non-transactional / 10 traversals / 0 searches / seed 42 / eager. *)
 
 type measurement = {
   config : config;

@@ -11,33 +11,30 @@ type params = { scale : float; seed : int option; wordcount_full : bool }
 let default = { scale = 1.0; seed = None; wordcount_full = false }
 
 let experiments =
+  let one (f : Figures.experiment) p durability =
+    [ f ~scale:p.scale ?seed:p.seed ~durability () ]
+  in
   [
-    ( "fig12",
-      fun p -> [ Figures.fig12 ~scale:p.scale ?seed:p.seed () ] );
-    ( "payload",
-      fun p -> [ Figures.payload_sweep ~scale:p.scale ?seed:p.seed () ] );
-    ( "table1",
-      fun p -> [ Figures.table1 ~scale:p.scale ?seed:p.seed () ] );
-    ( "fig13",
-      fun p -> [ Figures.fig13 ~scale:p.scale ?seed:p.seed () ] );
-    ( "fig14",
-      fun p -> [ Figures.fig14 ~scale:p.scale ?seed:p.seed () ] );
-    ( "regions",
-      fun p -> [ Figures.regions_sweep ~scale:p.scale ?seed:p.seed () ] );
+    ("fig12", one Figures.fig12);
+    ("payload", one Figures.payload_sweep);
+    ("table1", one Figures.table1);
+    ("fig13", one Figures.fig13);
+    ("fig14", one Figures.fig14);
+    ("regions", one Figures.regions_sweep);
     ( "fig15",
-      fun p ->
-        [ Figures.fig15 ~scale:p.scale ?seed:p.seed ~full:p.wordcount_full () ]
-    );
-    ( "breakdown",
-      fun p -> [ Figures.breakdown ~scale:p.scale ?seed:p.seed () ] );
+      fun p durability ->
+        [
+          Figures.fig15 ~scale:p.scale ?seed:p.seed ~durability
+            ~full:p.wordcount_full ();
+        ] );
+    ("breakdown", one Figures.breakdown);
     ( "ablations",
-      fun p -> Ablations.all ~scale:p.scale ?seed:p.seed () );
-    ( "churn",
-      fun p -> [ Churn.table ~scale:p.scale ?seed:p.seed () ] );
-    ( "durset",
-      fun p -> [ Durset.table ~scale:p.scale ?seed:p.seed () ] );
-    ( "snapshot",
-      fun p -> [ Snapexp.table ~scale:p.scale ?seed:p.seed () ] );
+      fun p durability ->
+        Ablations.all ~scale:p.scale ?seed:p.seed ~durability () );
+    ("churn", one Churn.table);
+    (* These two choose every machine's discipline themselves. *)
+    ("durset", fun p _ -> [ Durset.table ~scale:p.scale ?seed:p.seed () ]);
+    ("snapshot", fun p _ -> [ Snapexp.table ~scale:p.scale ?seed:p.seed () ]);
   ]
 
 let names = List.map fst experiments
@@ -45,20 +42,22 @@ let mem name = List.mem_assoc name experiments
 
 type result = { name : string; tables : Table.t list; wall_ns : int }
 
-let run p name =
+let run ?(durability = Core.Durability.Eager) p name =
   match List.assoc_opt name experiments with
   | Some f ->
-      let tables, wall_ns = Nvmpi_parsweep.Wall.time (fun () -> f p) in
+      let tables, wall_ns =
+        Nvmpi_parsweep.Wall.time (fun () -> f p durability)
+      in
       { name; tables; wall_ns }
   | None -> invalid_arg (Printf.sprintf "Suite.run: unknown experiment %S" name)
 
 (* Experiments build private machines and metrics registries, so they can
    run on separate domains; results come back in request order either way. *)
-let run_all ?(jobs = 1) p names =
-  if jobs <= 1 then List.map (run p) names
+let run_all ?(jobs = 1) ?durability p names =
+  if jobs <= 1 then List.map (run ?durability p) names
   else
     Nvmpi_parsweep.Pool.map ~jobs
-      (List.map (fun name () -> run p name) names)
+      (List.map (fun name () -> run ?durability p name) names)
 
 (* Snapshot (de)serialization -------------------------------------- *)
 
@@ -97,9 +96,6 @@ let snapshot_of ?(wall = false) ?(deref_ns = []) p results =
         ( "wall",
           Json.Obj
             ([
-               ( "engine",
-                 Json.String
-                   (Core.Engine.mode_to_string (Core.Engine.mode ())) );
                ( "total_ns",
                  Json.Int
                    (List.fold_left (fun a r -> a + r.wall_ns) 0 results) );

@@ -41,11 +41,15 @@ type result = { name : string; tables : Table.t list; wall_ns : int }
 (** [wall_ns] is the host wall-clock the experiment took to {e run};
     it never appears in the table cells. *)
 
-val run : params -> string -> result
-(** Runs one named experiment.
+val run : ?durability:Core.Durability.t -> params -> string -> result
+(** Runs one named experiment on machines created with [durability]
+    (default eager). The discipline is not part of [params]: snapshots
+    do not record it, so {!check} always re-runs eager.
     @raise Invalid_argument on an unknown name (check {!mem} first). *)
 
-val run_all : ?jobs:int -> params -> string list -> result list
+val run_all :
+  ?jobs:int -> ?durability:Core.Durability.t -> params -> string list ->
+  result list
 (** [jobs > 1] runs the experiments on a {!Nvmpi_parsweep.Pool} — each
     experiment already builds private machines and metrics registries —
     and returns results in request order, identical to the serial run
@@ -56,8 +60,8 @@ val snapshot_of :
   ?deref_ns:(string * float) list ->
   params -> result list -> Nvmpi_obs.Json.t
 (** The schema-versioned snapshot document for a set of results.
-    [~wall:true] (default false) appends a ["wall"] section with the
-    active engine name, per-experiment and total [wall_ns], and — when
+    [~wall:true] (default false) appends a ["wall"] section with
+    per-experiment and total [wall_ns], and — when
     [deref_ns] is non-empty — a ["deref_ns_per_op"] object mapping each
     representation to its measured host-nanosecond single-dereference
     cost. {!check} ignores the whole section, and determinism tests

@@ -155,7 +155,7 @@ let value_for c ~tenant ~key ~version =
   if n >= len then String.sub base 0 len
   else base ^ String.make (len - n) 'x'
 
-let run_shard c ~repr ~sh () =
+let run_shard c ?durability ~repr ~sh () =
   let n_sh = shard_tenants c sh in
   let ops_sh = shard_ops c sh in
   (* Seeded per shard, NOT per representation: every representation
@@ -165,7 +165,7 @@ let run_shard c ~repr ~sh () =
   let st = Random.State.make [| c.seed; sh; 0x53E6 |] in
   let machine_seed = (c.seed * 0x1F3F5) lxor (sh * 0x61) land max_int in
   let store = Store.create () in
-  let machine = Machine.create ~seed:machine_seed ~store () in
+  let machine = Machine.create ~seed:machine_seed ?durability ~store () in
   let res =
     Residency.create ~machine ~repr ~cap:c.resident
       ~region_size:c.region_size ~buckets:c.buckets ~log_cap:c.log_cap ()
@@ -321,7 +321,7 @@ let merge_repr config repr outs =
     counters;
   }
 
-let run ?(jobs = 1) c =
+let run ?(jobs = 1) ?durability c =
   (match validate c with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Server.run: " ^ msg));
@@ -329,7 +329,8 @@ let run ?(jobs = 1) c =
   let tasks =
     List.concat
       (List.init (Array.length reprs) (fun ri ->
-           List.init c.shards (fun sh -> run_shard c ~repr:reprs.(ri) ~sh)))
+           List.init c.shards (fun sh ->
+               run_shard c ?durability ~repr:reprs.(ri) ~sh)))
   in
   let outs = Pool.map ~jobs tasks in
   let rec group ri outs acc =

@@ -102,9 +102,11 @@ type repr_result = {
 
 type report = { config : config; results : repr_result list }
 
-val run : ?jobs:int -> config -> report
-(** Runs the full matrix. [jobs] only changes wall-clock; the report is
-    byte-identical at any value (and across reruns).
+val run : ?jobs:int -> ?durability:Core.Durability.t -> config -> report
+(** Runs the full matrix on shard machines created with [durability]
+    (default eager; not part of [config] or the report). [jobs] only
+    changes wall-clock; the report is byte-identical at any value (and
+    across reruns).
     @raise Invalid_argument if {!validate} rejects the config. *)
 
 val report_to_json : report -> Nvmpi_obs.Json.t

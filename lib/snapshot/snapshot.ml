@@ -17,19 +17,6 @@ type granularity = Line | Page
 
 let granularity_to_string = function Line -> "line" | Page -> "page"
 
-let granularity_of_string = function
-  | "line" -> Some Line
-  | "page" -> Some Page
-  | _ -> None
-
-(* Process-wide default, set from the front-ends' [--durability
-   snapshot]/[snapshot-page] flag before domains spawn — mirrors
-   [Engine.set_default_mode]. *)
-let default_granularity : granularity option ref = ref None
-let set_default g = default_granularity := g
-let default () = !default_granularity
-let enabled () = !default_granularity <> None
-
 (* Fault-injection double: drop the in-place write-back (step 3) while
    still truncating the commit record (step 4). See snapshot.mli. *)
 let drop_writeback = ref false
@@ -187,7 +174,10 @@ let create machine region ?granularity ?(log_cap = 64 * 1024) () =
   let gran =
     match granularity with
     | Some g -> g
-    | None -> ( match !default_granularity with Some g -> g | None -> Line)
+    | None -> (
+        match machine.Machine.durability with
+        | Core.Durability.Snapshot_page -> Page
+        | _ -> Line)
   in
   let page = Memsim.page_size machine.Machine.mem in
   let log_cap = Bitops.align_up log_cap page in

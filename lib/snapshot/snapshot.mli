@@ -29,21 +29,6 @@
 type granularity = Line | Page
 
 val granularity_to_string : granularity -> string
-val granularity_of_string : string -> granularity option
-
-(** {1 Process-wide mode}
-
-    Mirrors [Engine.set_default_mode] / [Durable.set_default_mode]:
-    the front-ends' [--durability snapshot]/[snapshot-page] flag sets
-    this before any domain spawns. [Some g] switches the default
-    kvstore write path to [`Plain] and the object-store heap choice to
-    the flush-free freelist (docs/SNAPSHOT.md). *)
-
-val set_default : granularity option -> unit
-val default : unit -> granularity option
-
-val enabled : unit -> bool
-(** [enabled ()] is [true] iff the process default is [Some _]. *)
 
 (** {1 Snapshots} *)
 
@@ -59,8 +44,8 @@ val create :
 (** Carves the snapshot metadata page and a write-ahead log of
     [log_cap] bytes (default 64 KiB, rounded up to whole pages) out of
     the region, anchors them at the ["__snapshot"] root, and starts
-    dirty tracking. [granularity] defaults to the process default's
-    granularity, or [Line]. *)
+    dirty tracking. [granularity] defaults to [Page] on a machine
+    created with {!Core.Durability.Snapshot_page}, [Line] otherwise. *)
 
 val attach : Core.Machine.t -> Nvmpi_nvregion.Region.t -> t
 (** Re-opens a snapshot (possibly after a crash or remap): reads the

@@ -20,30 +20,15 @@
    out of scope: [applicable] is false and those representations keep
    the eager discipline regardless of the selected mode.
 
-   The discipline is selected per {!Node.t} (field [durability]); the
-   process-wide default below mirrors [Engine.default_mode] and must be
-   set before domains spawn. Catalogue of the [dur.*] counters:
-   docs/METRICS.md. *)
+   The discipline is selected per {!Node.t} (field [durability]), which
+   defaults from the machine's {!Core.Durability.t}. Catalogue of the
+   [dur.*] counters: docs/METRICS.md. *)
 
 module Machine = Core.Machine
 module Timing = Nvmpi_cachesim.Timing
 module Vaddr = Nvmpi_addr.Kinds.Vaddr
 
 type mode = Eager | Traverse
-
-let mode_to_string = function Eager -> "eager" | Traverse -> "traverse"
-
-let mode_of_string = function
-  | "eager" -> Some Eager
-  | "traverse" -> Some Traverse
-  | _ -> None
-
-(* Process-wide default for [Node.make]'s [?durability]; set from the
-   front-ends' [--durability] flag before any domain spawns, like
-   [Engine.set_default_mode]. *)
-let default_mode = ref Eager
-let set_default_mode m = default_mode := m
-let mode () = !default_mode
 
 (* The mark bit only fits single-word slots; see the header comment. *)
 let applicable ~slot_size = slot_size = 8

@@ -20,7 +20,10 @@ let make ?durability machine ~mode ~payload =
   | _ -> ());
   if payload < 0 then invalid_arg "Node.make: negative payload";
   let durability =
-    match durability with Some d -> d | None -> Durable.mode ()
+    match (durability, machine.Machine.durability) with
+    | Some d, _ -> d
+    | None, Core.Durability.Traverse -> Durable.Traverse
+    | None, _ -> Durable.Eager
   in
   { machine; mode; payload; durability; next_region = 0 }
 

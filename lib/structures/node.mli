@@ -29,8 +29,9 @@ val make :
   mode:alloc_mode ->
   payload:int ->
   t
-(** [durability] defaults to the process-wide {!Durable.mode} (set by
-    the front-ends' [--durability] flag; [Eager] out of the box). *)
+(** [durability] defaults to the machine's: [Traverse] on a machine
+    created with {!Core.Durability.Traverse}, [Eager] under every other
+    discipline (the snapshot disciplines run structure code eager). *)
 
 val regions : t -> Nvmpi_nvregion.Region.t array
 (** The regions underlying either mode, in round-robin order. *)

@@ -90,20 +90,61 @@ let test_engine_deterministic_across_jobs () =
 
 let test_engine_clean_under_traverse () =
   (* Satellite: the whole conformance sweep — structure inserts and
-     removes included — re-run with link-and-persist durability as the
-     process default (docs/DURABLE.md). Durability actions must never
-     change an observable, so the report is as clean as the eager one. *)
+     removes included — re-run on machines created with link-and-persist
+     durability (docs/DURABLE.md). Durability actions must never change
+     an observable, so the report is as clean as the eager one. *)
+  let r =
+    Engine.run ~jobs:1 ~durability:Traverse ~seed:42 ~traces:engine_traces ()
+  in
+  check "no divergences under traverse durability" 0
+    (List.length r.Engine.failures);
+  check "conform.traces counter" engine_traces
+    (List.assoc "conform.traces" r.Engine.counters)
+
+(* What the structures and the kvstore pick from their machine's
+   durability when the caller does not choose. *)
+let durability_picks m =
+  let module Node = Nvmpi_structures.Node in
   let module Durable = Nvmpi_structures.Durable in
-  let saved = Durable.mode () in
-  Fun.protect
-    ~finally:(fun () -> Durable.set_default_mode saved)
-    (fun () ->
-      Durable.set_default_mode Durable.Traverse;
-      let r = report_jobs 1 in
-      check "no divergences under traverse durability" 0
-        (List.length r.Engine.failures);
-      check "conform.traces counter" engine_traces
-        (List.assoc "conform.traces" r.Engine.counters))
+  let module Kvstore = Nvmpi_apps.Kvstore in
+  let r = Machine.open_region m (Machine.create_region m ~size:(1 lsl 20)) in
+  let node = Node.make m ~mode:(Node.Plain [| r |]) ~payload:16 in
+  let os = Nvmpi_tx.Objstore.create m r () in
+  let created = Kvstore.create os ~repr:Repr.Riv ~name:"kv" () in
+  let attached = Kvstore.attach os ~repr:Repr.Riv ~name:"kv" in
+  let path kv =
+    match Kvstore.write_path kv with `Tx -> "tx" | `Plain -> "plain"
+  in
+  Printf.sprintf "%s/%s/%s"
+    (match node.Node.durability with
+    | Durable.Eager -> "eager"
+    | Durable.Traverse -> "traverse")
+    (path created) (path attached)
+
+let test_durability_from_machine () =
+  let machine durability =
+    Machine.create ~seed:3 ~durability ~store:(Store.create ()) ()
+  in
+  List.iter
+    (fun (d, want) ->
+      check_str (Core.Durability.to_string d) want
+        (durability_picks (machine d)))
+    [
+      (Core.Durability.Eager, "eager/tx/tx");
+      (Traverse, "traverse/tx/tx");
+      (Snapshot_line, "eager/plain/plain");
+      (Snapshot_page, "eager/plain/plain");
+    ];
+  (* Two machines with different disciplines in one process: each
+     component follows its own machine, whatever was created last. *)
+  let a = machine Traverse in
+  let b = machine Snapshot_line in
+  check_str "traverse machine after a snapshot machine" "traverse/tx/tx"
+    (durability_picks a);
+  check_str "snapshot machine after a traverse node" "eager/plain/plain"
+    (durability_picks b);
+  check_str "default machine" "eager/tx/tx"
+    (durability_picks (Machine.create ~seed:3 ~store:(Store.create ()) ()))
 
 let test_check_trace_replay () =
   (* A handwritten repro through the same entry --replay uses. *)
@@ -330,6 +371,8 @@ let () =
             test_engine_clean_and_covering;
           Alcotest.test_case "clean under traverse durability" `Quick
             test_engine_clean_under_traverse;
+          Alcotest.test_case "durability comes from the machine" `Quick
+            test_durability_from_machine;
           Alcotest.test_case "deterministic across jobs" `Quick
             test_engine_deterministic_across_jobs;
           Alcotest.test_case "replay a handwritten repro" `Quick

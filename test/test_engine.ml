@@ -1,10 +1,11 @@
-(* Staged-vs-dispatch engine equivalence: the two call graphs must be
-   observationally identical for every representation — same loaded
-   values, same sanctioned faults, byte-identical counter registries.
-   Also pins the per-kind registry tables in Repr against each
-   representation module's own constants (repr.ml keeps them as direct
-   matches for the staged paths; this is the check that keeps them
-   honest). *)
+(* The per-kind tables against the representation modules they stand
+   for: [Engine]'s direct dispatch against the first-class modules of
+   [Repr.m], and [Specialized.of_kind] against a runtime [Spec]
+   application. Each pair must be observationally identical for every
+   representation — same loaded values, same sanctioned faults,
+   byte-identical counter registries — so a table entry wired to the
+   wrong representation fails here. Also pins the per-kind registry
+   tables in Repr against each representation module's own constants. *)
 
 module Repr = Core.Repr
 module Engine = Core.Engine
@@ -16,6 +17,7 @@ module Memsim = Nvmpi_memsim.Memsim
 module Metrics = Nvmpi_obs.Metrics
 module Json = Nvmpi_obs.Json
 module Node = Nvmpi_structures.Node
+module Specialized = Nvmpi_structures.Specialized
 module Gen = Nvmpi_conform.Gen
 module Exec = Nvmpi_conform.Exec
 module CEngine = Nvmpi_conform.Engine
@@ -24,12 +26,6 @@ module Workload = Nvmpi_experiments.Workload
 
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
-
-(* Every test restores the staged default, whatever happens: the mode is
-   process-global and later suites assume the default. *)
-let under mode f =
-  Engine.set_default_mode mode;
-  Fun.protect ~finally:(fun () -> Engine.set_default_mode Engine.Staged) f
 
 (* Registry tables: Repr's per-kind tables = each module's constants. *)
 
@@ -82,8 +78,8 @@ let test_deref_equivalence () =
     Repr.all
 
 (* Cross-region stores: whichever way a representation answers one
-   (a Cross_region_store raise or an encoded store), both engines must
-   answer it the same way. *)
+   (a Cross_region_store raise or an encoded store), the per-kind
+   dispatch must answer it the same way as the module. *)
 
 let cross_region_outcome kind ~staged =
   let store = Store.create () in
@@ -119,10 +115,12 @@ let test_cross_region_equivalence () =
         (cross_region_outcome kind ~staged:true))
     Repr.all
 
-(* Conformance-trace replay: the same generated traces, once per
-   engine, must produce identical op observables (loaded values,
-   digests, sanctioned raises), identical post-remap snapshots and
-   identical fatal status for every applicable representation. *)
+(* Conformance-trace replay: the same generated traces through the
+   [of_kind] table and through a runtime [Spec] application of
+   [Repr.m kind] (the path conform's buggy-module injection uses) must
+   produce identical op observables (loaded values, digests, sanctioned
+   raises), identical post-remap snapshots and identical fatal status
+   for every applicable representation. *)
 
 let result_to_string (r : Exec.result) =
   let b = Buffer.create 256 in
@@ -139,51 +137,58 @@ let test_trace_replay_equivalence () =
     let tr = Gen.trace ~seed:42 ~index () in
     List.iter
       (fun kind ->
-        let run mode = under mode (fun () -> Exec.run ~kind tr) in
         check_str
           (Printf.sprintf "trace %d %s" index (Repr.to_string kind))
-          (result_to_string (run Engine.Dispatch))
-          (result_to_string (run Engine.Staged)))
+          (result_to_string (Exec.run ~repr:(Repr.m kind) ~kind tr))
+          (result_to_string (Exec.run ~kind tr)))
       (CEngine.applicable tr)
   done
 
-(* Structure workloads through the instance layer: staged and dispatch
-   construction must agree on every traversal result and leave
-   byte-identical counter registries, for all nine representations and
-   all seven structures. *)
+(* Structure workloads through the instance layer: [Instance.create]
+   (the [of_kind] entry) and the same constructor over
+   [Spec ((val Repr.m kind))] must agree on every traversal result and
+   leave byte-identical counter registries, for all nine representations
+   and all seven structures. *)
 
-let structure_outcome structure kind mode =
-  under mode (fun () ->
-      let store = Store.create () in
-      let metrics = Metrics.create () in
-      let m = Machine.create ~seed:17 ~metrics ~store () in
-      let rid = Machine.create_region m ~size:(1 lsl 22) in
-      let r = Machine.open_region m rid in
-      if kind = Repr.Based then Machine.set_based_region m rid;
-      let node = Node.make m ~mode:(Node.Plain [| r |]) ~payload:32 in
-      let inst = Instance.create structure kind node ~name:"eq" in
-      let keys = Workload.keys ~n:120 ~seed:5 in
-      Array.iter (fun k -> inst.Instance.insert k) keys;
-      let n, sum = inst.Instance.traverse () in
-      let hits =
-        Array.fold_left
-          (fun a k -> if inst.Instance.search k then a + 1 else a)
-          0 keys
-      in
-      Printf.sprintf "n=%d sum=%d hits=%d counters=%s" n sum hits
-        (Json.to_string (Metrics.to_json metrics)))
+let structure_outcome structure kind ~spec =
+  let store = Store.create () in
+  let metrics = Metrics.create () in
+  let m = Machine.create ~seed:17 ~metrics ~store () in
+  let rid = Machine.create_region m ~size:(1 lsl 22) in
+  let r = Machine.open_region m rid in
+  if kind = Repr.Based then Machine.set_based_region m rid;
+  let node = Node.make m ~mode:(Node.Plain [| r |]) ~payload:32 in
+  let inst =
+    match spec with
+    | None -> Instance.create structure kind node ~name:"eq"
+    | Some spec -> Instance.of_spec spec structure node ~name:"eq" ~fresh:true
+  in
+  let keys = Workload.keys ~n:120 ~seed:5 in
+  Array.iter (fun k -> inst.Instance.insert k) keys;
+  let n, sum = inst.Instance.traverse () in
+  let hits =
+    Array.fold_left
+      (fun a k -> if inst.Instance.search k then a + 1 else a)
+      0 keys
+  in
+  Printf.sprintf "n=%d sum=%d hits=%d counters=%s" n sum hits
+    (Json.to_string (Metrics.to_json metrics))
 
 let test_structure_equivalence () =
   List.iter
     (fun structure ->
       List.iter
         (fun kind ->
+          let module P = (val Repr.m kind) in
+          let spec =
+            (module Specialized.Spec (P) : Specialized.S)
+          in
           check_str
             (Printf.sprintf "%s/%s"
                (Instance.structure_name structure)
                (Repr.to_string kind))
-            (structure_outcome structure kind Engine.Dispatch)
-            (structure_outcome structure kind Engine.Staged))
+            (structure_outcome structure kind ~spec:(Some spec))
+            (structure_outcome structure kind ~spec:None))
         Repr.all)
     (Instance.structures @ Instance.extension_structures)
 
