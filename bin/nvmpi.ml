@@ -2,6 +2,8 @@
 
    - [nvmpi bench ...]    regenerate the paper's tables/figures
    - [nvmpi check FILE]   regression-check against a benchmark snapshot
+   - [nvmpi perf]         host-nanosecond profile of the access hot path
+   - [nvmpi bechamel]     bechamel micro-benchmarks of the simulator
    - [nvmpi run FILE]     compile and run an NVC program against a
                           (optionally file-backed) NVM store
    - [nvmpi crash ...]    sweep crash points with the fault-injection
@@ -16,6 +18,32 @@
 open Cmdliner
 
 let experiments = Nvmpi_experiments.Suite.names @ [ "all" ]
+
+(* Numeric converters that reject out-of-range values at parse time,
+   so a bad flag is a usage error (exit 124) rather than a silently
+   clamped or nonsensical run. *)
+let checked conv ok what =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = checked Arg.int (fun n -> n > 0) "a positive integer"
+
+let positive_float =
+  checked Arg.float (fun f -> Float.is_finite f && f > 0.0) "a positive number"
+
+let non_negative_float =
+  checked Arg.float
+    (fun f -> Float.is_finite f && f >= 0.0)
+    "a non-negative number"
+
+(* --jobs: every parallel driver takes it with its own doc string. *)
+let jobs ~doc =
+  Arg.(value & opt positive_int 1 & info [ "jobs" ] ~docv:"N" ~doc)
 
 (* --durability: the persistence discipline of every machine a
    subcommand creates (docs/DURABLE.md, docs/SNAPSHOT.md). Taken by the
@@ -44,7 +72,7 @@ let bench_cmd =
          & info [] ~docv:"EXPERIMENT")
   in
   let scale =
-    Arg.(value & opt float 1.0
+    Arg.(value & opt positive_float 1.0
          & info [ "scale" ] ~doc:"Scale factor on workload sizes.")
   in
   let seed =
@@ -66,13 +94,20 @@ let bench_cmd =
                    breakdowns; see docs/METRICS.md).")
   in
   let jobs =
-    Arg.(value & opt int 1
-         & info [ "jobs" ] ~docv:"N"
-             ~doc:"Run experiments on N domains. Results (and the JSON \
-                   snapshot) are identical to a serial run; only \
-                   wall-clock changes.")
+    jobs
+      ~doc:"Run experiments on N domains. Results (and the JSON \
+            snapshot) are identical to a serial run; only wall-clock \
+            changes."
   in
-  let run durability names scale seed full json jobs =
+  let wall =
+    Arg.(value & flag
+         & info [ "wall" ]
+             ~doc:"Add a host wall-clock $(b,wall) section, with the \
+                   per-representation single-dereference cost \
+                   $(b,deref_ns_per_op), to the JSON snapshot. Never \
+                   checked (docs/PERF.md).")
+  in
+  let run durability names scale seed full json jobs wall =
     let open Nvmpi_experiments in
     let params = { Suite.scale; seed; wordcount_full = full } in
     let names =
@@ -99,12 +134,15 @@ let bench_cmd =
     match json with
     | None -> ()
     | Some path ->
-        Core.Json.to_file path (Suite.snapshot_of params results);
+        let deref_ns = if wall then Hostperf.deref_ns_per_op () else [] in
+        Core.Json.to_file path
+          (Suite.snapshot_of ~wall ~deref_ns params results);
         Printf.printf "wrote %s\n" path
   in
   Cmd.v
     (Cmd.info "bench" ~doc:"Regenerate the paper's evaluation tables/figures.")
-    Term.(const run $ durability $ names $ scale $ seed $ full $ json $ jobs)
+    Term.(const run $ durability $ names $ scale $ seed $ full $ json $ jobs
+          $ wall)
 
 (* check *)
 
@@ -115,23 +153,44 @@ let check_cmd =
              ~doc:"Snapshot written by 'bench --json'.")
   in
   let tolerance =
-    Arg.(value & opt float 0.10
+    Arg.(value & opt non_negative_float 0.10
          & info [ "tolerance" ]
              ~doc:"Allowed relative deviation per cycle count.")
   in
-  let run path tolerance =
+  let jobs =
+    jobs
+      ~doc:"Re-run the baseline's experiments on N domains. The verdict \
+            is identical to a serial run; only wall-clock changes."
+  in
+  let run path tolerance jobs =
     let open Nvmpi_experiments in
+    let fail fmt =
+      Printf.ksprintf
+        (fun msg ->
+          prerr_endline msg;
+          exit 2)
+        fmt
+    in
     let ( let* ) r f =
-      match r with
-      | Ok v -> f v
-      | Error msg ->
-          Printf.eprintf "%s: %s\n" path msg;
-          exit 2
+      match r with Ok v -> f v | Error msg -> fail "%s: %s" path msg
     in
     let* baseline = Core.Json.of_file path in
     let* params = Suite.params_of_json baseline in
     let* names = Suite.names_of_json baseline in
-    let fresh = Suite.snapshot_of params (Suite.run_all params names) in
+    (* Validate every name before running anything: an unknown one is a
+       bad baseline, not a crash minutes into the run. *)
+    List.iter
+      (fun name ->
+        if not (Suite.mem name) then
+          fail "%s records unknown experiment %S" path name)
+      names;
+    Printf.printf
+      "check: re-running %s (scale %g, seed %s%s) against %s, tolerance %g%%\n%!"
+      (String.concat " " names) params.Suite.scale
+      (match params.Suite.seed with Some s -> string_of_int s | None -> "default")
+      (if params.Suite.wordcount_full then ", full wordcount" else "")
+      path (100.0 *. tolerance);
+    let fresh = Suite.snapshot_of params (Suite.run_all ~jobs params names) in
     let* compared, mismatches = Suite.check ~tolerance ~baseline ~fresh () in
     if mismatches = [] then
       Printf.printf "check: PASS (%d cells within %g%% of %s)\n" compared
@@ -147,7 +206,31 @@ let check_cmd =
     (Cmd.info "check"
        ~doc:"Re-run the experiments a benchmark snapshot records and fail \
              on cycle-count regressions beyond the tolerance.")
-    Term.(const run $ baseline $ tolerance)
+    Term.(const run $ baseline $ tolerance $ jobs)
+
+(* perf *)
+
+let perf_cmd =
+  let ops =
+    Arg.(value & opt positive_int 1_000_000
+         & info [ "ops" ] ~docv:"N" ~doc:"Operations per profile row.")
+  in
+  Cmd.v
+    (Cmd.info "perf"
+       ~doc:"Print a host-nanosecond profile of the simulator's access hot \
+             path: raw Memsim loads/stores, the same with the timing model \
+             attached, and stores under an armed fault-injection tracker.")
+    Term.(const (fun ops -> Hostperf.perf_main ~ops) $ ops)
+
+(* bechamel *)
+
+let bechamel_cmd =
+  Cmd.v
+    (Cmd.info "bechamel"
+       ~doc:"Run the bechamel micro-benchmarks: host nanoseconds per \
+             simulated pointer load and dereference under each \
+             representation, and per RIV traversal of each structure.")
+    Term.(const Hostperf.bechamel_suite $ const ())
 
 (* run *)
 
@@ -241,11 +324,10 @@ let crash_cmd =
                    catches real durability bugs.")
   in
   let jobs =
-    Arg.(value & opt int 1
-         & info [ "jobs" ] ~docv:"N"
-             ~doc:"Evaluate each scenario's crash points on N domains. \
-                   The report (and its JSON) is identical to a serial \
-                   sweep; only wall-clock changes.")
+    jobs
+      ~doc:"Evaluate each scenario's crash points on N domains. The \
+            report (and its JSON) is identical to a serial sweep; only \
+            wall-clock changes."
   in
   let wall_json =
     Arg.(value & opt (some string) None
@@ -348,10 +430,9 @@ let fuzz_cmd =
                    docs/CONFORM.md).")
   in
   let jobs =
-    Arg.(value & opt int 1
-         & info [ "jobs" ] ~docv:"N"
-             ~doc:"Check traces on N domains. The report (and its JSON) is \
-                   identical to a serial run; only wall-clock changes.")
+    jobs
+      ~doc:"Check traces on N domains. The report (and its JSON) is \
+            identical to a serial run; only wall-clock changes."
   in
   let replay =
     Arg.(value & opt (some file) None
@@ -493,11 +574,10 @@ let serve_cmd =
                    docs/SERVER.md).")
   in
   let jobs =
-    Arg.(value & opt int 1
-         & info [ "jobs" ] ~docv:"N"
-             ~doc:"Run the (representation, shard) work items on N \
-                   domains. The report (and its JSON) is identical to a \
-                   serial run; only wall-clock changes.")
+    jobs
+      ~doc:"Run the (representation, shard) work items on N domains. The \
+            report (and its JSON) is identical to a serial run; only \
+            wall-clock changes."
   in
   let run durability tenants theta mix churn ops seed shards resident keys
       value_bytes reprs json jobs =
@@ -613,5 +693,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "nvmpi" ~doc)
-          [ bench_cmd; check_cmd; run_cmd; crash_cmd; fuzz_cmd; serve_cmd;
-            inspect_cmd; layout_cmd ]))
+          [ bench_cmd; check_cmd; perf_cmd; bechamel_cmd; run_cmd; crash_cmd;
+            fuzz_cmd; serve_cmd; inspect_cmd; layout_cmd ]))

@@ -12,8 +12,8 @@
     Alongside the rendered rows, every table carries machine-readable
     [records]: one JSON object per measured row holding raw cycle
     counts, the baseline they are normalized to, and the
-    {!Runner.measurement.counters} breakdown. [bench/main.exe --json]
-    serializes them and [check] mode regresses against them; the schema
+    {!Runner.measurement.counters} breakdown. [nvmpi bench --json]
+    serializes them and [nvmpi check] regresses against them; the schema
     is documented in [docs/METRICS.md].
 
     The paper's numbers come from PMEP hardware; ours from a cache/cycle

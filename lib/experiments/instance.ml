@@ -44,11 +44,28 @@ let default_buckets = 512
    structures, but store words: keys index a fixed syllable-built
    vocabulary whose prefix sharing resembles English (the paper stores
    English words). The vocabulary is shared across instances so every
-   representation inserts exactly the same words. *)
+   representation inserts exactly the same words. It is built on first
+   use, which under [--jobs] can come from several domains at once. A
+   [lazy] cannot be shared that way (forcing one from two domains raises
+   [Lazy.Undefined]), so the first build is serialized by a lock and
+   later uses read the published array. *)
 let trie_vocab =
-  lazy (Nvmpi_apps.Text_gen.vocabulary ~size:(1 lsl 17) ~seed:7)
+  let vocab = Atomic.make None and lock = Mutex.create () in
+  fun () ->
+    match Atomic.get vocab with
+    | Some words -> words
+    | None ->
+        Mutex.protect lock (fun () ->
+            match Atomic.get vocab with
+            | Some words -> words
+            | None ->
+                let words =
+                  Nvmpi_apps.Text_gen.vocabulary ~size:(1 lsl 17) ~seed:7
+                in
+                Atomic.set vocab (Some words);
+                words)
 
-let trie_word key = (Lazy.force trie_vocab).(key land ((1 lsl 17) - 1))
+let trie_word key = (trie_vocab ()).(key land ((1 lsl 17) - 1))
 
 (* The instance constructor over one specialized structure set: the
    representation is already fixed by [SP], so no functor is applied

@@ -2,7 +2,7 @@
     of their results, and regression checking of one snapshot against
     another.
 
-    A snapshot is the schema-versioned document [bench/main.exe --json]
+    A snapshot is the schema-versioned document [nvmpi bench --json]
     writes (see [docs/METRICS.md] for the full schema):
 
     {v

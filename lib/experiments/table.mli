@@ -7,7 +7,7 @@
     whose cells hold raw simulated cycle counts, slowdown ratios and
     counter breakdowns (see [docs/METRICS.md] for the schema). Rendered
     rows that aggregate several runs (averages) instead carry one
-    record per underlying run. The [check] bench mode regresses against
+    record per underlying run. [nvmpi check] regresses against
     the records, never the rendered strings. *)
 
 type t = {

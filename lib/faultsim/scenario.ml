@@ -173,6 +173,38 @@ let structure_scenario ?(keys = 12) ?(batch = 4) ?(fence = true)
   in
   { name; expect_fail = not fence; run }
 
+(* {1 Durable linearizability}
+
+   The oracle shared by every scenario whose workload is a sequence of
+   atomic operations (Zuriel et al., "Efficient Lock-Free Durable
+   Sets"): at a crash point, every operation that completed before it
+   is durable, and the single operation in flight may be either fully
+   applied or fully absent — never torn. The workload records each
+   operation's event window with {!record}; {!candidates} turns the log
+   into the states recovery may legally produce. *)
+
+type 'op window = { before : int; after : int; op : 'op }
+
+let record tracker log f =
+  let before = Tracker.seq tracker in
+  let op = f () in
+  log := { before; after = Tracker.seq tracker; op } :: !log
+
+(* The committed state — [initial] with every operation whose window
+   closed by [seq] applied in order — and, when [seq] falls strictly
+   inside an operation's window, that operation applied on top. *)
+let candidates ~seq ~initial ~apply log =
+  let committed =
+    List.fold_left
+      (fun s w -> if w.after <= seq then apply w.op s else s)
+      initial log
+  in
+  committed
+  ::
+  (match List.find_opt (fun w -> w.before < seq && seq < w.after) log with
+  | Some w -> [ apply w.op committed ]
+  | None -> [])
+
 (* {1 Kvstore over transactions}
 
    Each put/delete is one undo-logged transaction. At any crash point
@@ -180,12 +212,6 @@ let structure_scenario ?(keys = 12) ?(batch = 4) ?(fence = true)
    commit is durable, except that the single in-flight transaction (if
    the crash lands inside its window) may be either fully absent or
    fully applied — never torn. *)
-
-type kv_op = {
-  before : int;
-  after : int;
-  apply : (int * string) list -> (int * string) list;
-}
 
 let model_put k v m = (k, v) :: List.remove_assoc k m
 let model_del k m = List.remove_assoc k m
@@ -215,20 +241,16 @@ let kv_scenario ?(ops = 8) repr =
     let log = ref [] in
     for i = 1 to ops do
       let key = (i mod 5) + 1 in
-      let before = Tracker.seq tracker in
-      let apply =
-        if i mod 4 = 0 then begin
-          ignore (Kvstore.delete kv ~key);
-          model_del key
-        end
-        else begin
-          let v = Printf.sprintf "v%d-%d" i key in
-          Kvstore.put kv ~key v;
-          model_put key v
-        end
-      in
-      let after = Tracker.seq tracker in
-      log := { before; after; apply } :: !log
+      record tracker log (fun () ->
+          if i mod 4 = 0 then begin
+            ignore (Kvstore.delete kv ~key);
+            model_del key
+          end
+          else begin
+            let v = Printf.sprintf "v%d-%d" i key in
+            Kvstore.put kv ~key v;
+            model_put key v
+          end)
     done;
     let log = List.rev !log in
     let universe = [ 1; 2; 3; 4; 5; 6 ] in
@@ -242,19 +264,9 @@ let kv_scenario ?(ops = 8) repr =
         Error "undo log still has records after recovery"
       else begin
         let kv' = Kvstore.attach os' ~repr ~name:"kv" in
-        let committed =
-          List.fold_left
-            (fun m op -> if op.after <= seq then op.apply m else m)
-            initial log
-        in
         let candidates =
-          canon committed
-          ::
-          (match
-             List.find_opt (fun op -> op.before < seq && seq < op.after) log
-           with
-          | Some op -> [ canon (op.apply committed) ]
-          | None -> [])
+          candidates ~seq ~initial ~apply:(fun f m -> f m) log
+          |> List.map canon
         in
         let actual =
           List.filter_map
@@ -301,13 +313,12 @@ let tx_cells_scenario ?(txs = 6) () =
     for j = 1 to txs do
       let i1 = j mod 8 and i2 = (3 * j) mod 8 in
       let v1 = (j * 1000) + i1 and v2 = (j * 1000) + i2 + 7 in
-      let before = Tracker.seq tracker in
-      Tx.begin_tx tx;
-      Tx.store64 tx (Vaddr.add cells (8 * i1)) v1;
-      Tx.store64 tx (Vaddr.add cells (8 * i2)) v2;
-      Tx.commit tx;
-      let after = Tracker.seq tracker in
-      log := (before, after, [ (i1, v1); (i2, v2) ]) :: !log
+      record tracker log (fun () ->
+          Tx.begin_tx tx;
+          Tx.store64 tx (Vaddr.add cells (8 * i1)) v1;
+          Tx.store64 tx (Vaddr.add cells (8 * i2)) v2;
+          Tx.commit tx;
+          [ (i1, v1); (i2, v2) ])
     done;
     let log = List.rev !log in
     let verify ~seq machine' regions' =
@@ -322,13 +333,13 @@ let tx_cells_scenario ?(txs = 6) () =
           | None -> failwith "cells root lost"
         in
         let apply writes arr =
-          List.iter (fun (i, v) -> arr.(i) <- v) writes
+          let arr = Array.copy arr in
+          List.iter (fun (i, v) -> arr.(i) <- v) writes;
+          arr
         in
-        let committed = Array.init 8 (fun i -> 100 + i) in
-        List.iter
-          (fun (_, after, writes) ->
-            if after <= seq then apply writes committed)
-          log;
+        let candidates =
+          candidates ~seq ~initial:(Array.init 8 (fun i -> 100 + i)) ~apply log
+        in
         let actual =
           Array.init 8 (fun i ->
               Memsim.load64 machine'.Machine.mem (Vaddr.add cells' (8 * i)))
@@ -336,23 +347,11 @@ let tx_cells_scenario ?(txs = 6) () =
         let show a =
           String.concat "," (Array.to_list (Array.map string_of_int a))
         in
-        if actual = committed then Ok ()
-        else begin
-          match
-            List.find_opt (fun (b, a, _) -> b < seq && seq < a) log
-          with
-          | Some (_, _, writes)
-            when actual
-                 =
-                 let v = Array.copy committed in
-                 apply writes v;
-                 v ->
-              Ok ()
-          | _ ->
-              Error
-                (Printf.sprintf "torn cells after recovery: [%s], expected [%s]"
-                   (show actual) (show committed))
-        end
+        if List.mem actual candidates then Ok ()
+        else
+          Error
+            (Printf.sprintf "torn cells after recovery: [%s], expected [%s]"
+               (show actual) (show (List.hd candidates)))
       end
     in
     { tracker; verify }
@@ -545,13 +544,6 @@ let alloc_leak_selftest () =
 module Durable = Nvmpi_structures.Durable
 module IntSet = Set.Make (Int)
 
-type durable_op = {
-  d_before : int;
-  d_after : int;
-  d_key : int;
-  d_insert : bool;
-}
-
 (* The 8-byte-slot encodings the mark bit fits ([Durable.applicable]);
    Fat/Fat_cached keep the eager discipline and are covered by the
    plain-mode structure scenarios above. *)
@@ -600,19 +592,16 @@ let durable_scenario ?(ops = 14) ?(drop_flushes = false) structure repr =
       (fun () ->
         for _ = 1 to ops do
           let k = universe.(Random.State.int rng (Array.length universe)) in
-          let before = Tracker.seq tracker in
-          let insert = not (IntSet.mem k !model) in
-          if insert then inst.Instance.insert k
-          else ignore (inst.Instance.remove k);
-          model := (if insert then IntSet.add else IntSet.remove) k !model;
-          let after = Tracker.seq tracker in
-          log :=
-            { d_before = before; d_after = after; d_key = k; d_insert = insert }
-            :: !log
+          record tracker log (fun () ->
+              let insert = not (IntSet.mem k !model) in
+              if insert then inst.Instance.insert k
+              else ignore (inst.Instance.remove k);
+              model := (if insert then IntSet.add else IntSet.remove) k !model;
+              (k, insert))
         done);
     let log = List.rev !log in
-    let apply op set =
-      (if op.d_insert then IntSet.add else IntSet.remove) op.d_key set
+    let apply (k, insert) set =
+      (if insert then IntSet.add else IntSet.remove) k set
     in
     let expected_of set =
       ( IntSet.cardinal set,
@@ -634,20 +623,7 @@ let durable_scenario ?(ops = 14) ?(drop_flushes = false) structure repr =
           ~mode:(Node.Plain [| region' |]) ~payload
       in
       let inst' = Instance.attach structure repr node' ~name:root in
-      let committed =
-        List.fold_left
-          (fun acc op -> if op.d_after <= seq then apply op acc else acc)
-          initial log
-      in
-      let candidates =
-        committed
-        ::
-        (match
-           List.find_opt (fun op -> op.d_before < seq && seq < op.d_after) log
-         with
-        | Some op -> [ apply op committed ]
-        | None -> [])
-      in
+      let candidates = candidates ~seq ~initial ~apply log in
       let count, checksum = inst'.Instance.traverse () in
       match
         List.find_opt (fun s -> expected_of s = (count, checksum)) candidates
@@ -690,8 +666,6 @@ let durable_scenario ?(ops = 14) ?(drop_flushes = false) structure repr =
 
 module Snapshot = Nvmpi_snapshot.Snapshot
 
-type snap_epoch = { s_before : int; s_after : int; s_cells : int array }
-
 let snapshot_cells_scenario ?(epochs = 5) ?(cells = 16)
     ?(granularity = Snapshot.Line) ?(drop_writeback = false) () =
   let name =
@@ -723,25 +697,22 @@ let snapshot_cells_scenario ?(epochs = 5) ?(cells = 16)
       ~finally:(fun () -> Snapshot.drop_writeback := false)
       (fun () ->
         for e = 1 to epochs do
-          let before = Tracker.seq tracker in
-          for i = 0 to cells - 1 do
-            if ((i * 7) + e) mod 3 <> 2 then begin
-              model.(i) <- (e * 1000) + i;
-              Memsim.store64 mem (cell i) model.(i)
-            end
-          done;
-          (* The middle epoch commits, then replays as workload: its
-             write-back happens via the recovery path, under the
-             tracker, so the sweep crashes mid-replay too. *)
-          if e = (epochs / 2) + 1 then begin
-            Snapshot.sync ~stop_after:`Commit snap;
-            Snapshot.replay snap
-          end
-          else Snapshot.sync snap;
-          let after = Tracker.seq tracker in
-          log :=
-            { s_before = before; s_after = after; s_cells = Array.copy model }
-            :: !log
+          record tracker log (fun () ->
+              for i = 0 to cells - 1 do
+                if ((i * 7) + e) mod 3 <> 2 then begin
+                  model.(i) <- (e * 1000) + i;
+                  Memsim.store64 mem (cell i) model.(i)
+                end
+              done;
+              (* The middle epoch commits, then replays as workload: its
+                 write-back happens via the recovery path, under the
+                 tracker, so the sweep crashes mid-replay too. *)
+              if e = (epochs / 2) + 1 then begin
+                Snapshot.sync ~stop_after:`Commit snap;
+                Snapshot.replay snap
+              end
+              else Snapshot.sync snap;
+              Array.copy model)
         done);
     let log = List.rev !log in
     let initial = Array.init cells (fun i -> 1000 + i) in
@@ -766,23 +737,11 @@ let snapshot_cells_scenario ?(epochs = 5) ?(cells = 16)
               Memsim.load64 machine'.Machine.mem
                 (Vaddr.add block' (i * stride)))
         in
-        let committed =
-          List.fold_left
-            (fun acc ep -> if ep.s_after <= seq then ep.s_cells else acc)
-            initial log
-        in
+        (* Each epoch records the whole state its sync installs. *)
         let candidates =
-          committed
-          ::
-          (match
-             List.find_opt
-               (fun ep -> ep.s_before < seq && seq < ep.s_after)
-               log
-           with
-          | Some ep -> [ ep.s_cells ]
-          | None -> [])
+          candidates ~seq ~initial ~apply:(fun cells _ -> cells) log
         in
-        if List.exists (fun c -> c = actual) candidates then Ok ()
+        if List.mem actual candidates then Ok ()
         else
           Error
             (Printf.sprintf
@@ -828,22 +787,21 @@ let snapshot_kv_scenario ?(epochs = 5) ?(granularity = Snapshot.Line) repr =
     let initial = !model in
     let log = ref [] in
     for e = 1 to epochs do
-      let before = Tracker.seq tracker in
-      for j = 0 to 2 do
-        let key = (((e * 3) + j) mod 5) + 1 in
-        if (e + j) mod 4 = 0 then begin
-          ignore (Kvstore.delete kv ~key);
-          model := model_del key !model
-        end
-        else begin
-          let v = Printf.sprintf "v%d-%d" e key in
-          Kvstore.put kv ~key v;
-          model := model_put key v !model
-        end
-      done;
-      Snapshot.sync snap;
-      let after = Tracker.seq tracker in
-      log := (before, after, canon !model) :: !log
+      record tracker log (fun () ->
+          for j = 0 to 2 do
+            let key = (((e * 3) + j) mod 5) + 1 in
+            if (e + j) mod 4 = 0 then begin
+              ignore (Kvstore.delete kv ~key);
+              model := model_del key !model
+            end
+            else begin
+              let v = Printf.sprintf "v%d-%d" e key in
+              Kvstore.put kv ~key v;
+              model := model_put key v !model
+            end
+          done;
+          Snapshot.sync snap;
+          canon !model)
     done;
     let log = List.rev !log in
     let universe = [ 1; 2; 3; 4; 5; 6 ] in
@@ -859,19 +817,9 @@ let snapshot_kv_scenario ?(epochs = 5) ?(granularity = Snapshot.Line) repr =
       else begin
         let os' = Objstore.attach machine' region' in
         let kv' = Kvstore.attach os' ~write_path:`Plain ~repr ~name:"kv" in
-        let committed =
-          List.fold_left
-            (fun acc (_, after, state) -> if after <= seq then state else acc)
-            (canon initial) log
-        in
         let candidates =
-          committed
-          ::
-          (match
-             List.find_opt (fun (b, a, _) -> b < seq && seq < a) log
-           with
-          | Some (_, _, state) -> [ state ]
-          | None -> [])
+          candidates ~seq ~initial:(canon initial)
+            ~apply:(fun state _ -> state) log
         in
         let actual =
           List.filter_map

@@ -6,4 +6,4 @@
 # --tolerance 0.02). Equivalent to `dune build @bench-check`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-exec dune exec bench/main.exe -- check BENCH_seed.json "$@"
+exec dune exec bin/nvmpi.exe -- check BENCH_seed.json "$@"

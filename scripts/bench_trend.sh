@@ -20,5 +20,5 @@ mkdir -p "$outdir"
 sha="$(git rev-parse --short=12 HEAD 2>/dev/null || echo nogit)"
 out="$outdir/bench_wall_${sha}.json"
 
-dune exec bench/main.exe -- --scale 0.1 --seed 1 --wall --json "$out" "$@"
+dune exec bin/nvmpi.exe -- bench --scale 0.1 --seed 1 --wall --json "$out" "$@"
 echo "bench_trend: wrote $out"

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Documentation consistency gate (CI step; run any time with
-# scripts/doc_check.sh). Three checks, all derived from the code so the
+# scripts/doc_check.sh). Four checks, all derived from the code so the
 # docs cannot silently go stale:
 #
 #   1. every nvmpi subcommand (the Cmd.info names in bin/nvmpi.ml) is
@@ -8,7 +8,10 @@
 #   2. every registered counter prefix (the first dotted component of
 #      counter names in lib/) has a catalogue entry in docs/METRICS.md;
 #   3. every intra-repo markdown link in the curated docs resolves
-#      (anchors stripped; http(s)/mailto links skipped).
+#      (anchors stripped; http(s)/mailto links skipped);
+#   4. every `dune exec <dir>/<name>.exe` in the curated docs names an
+#      executable declared in <dir>/dune (`(executable (name <name>))`
+#      or `(executables (names ... <name> ...))`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,8 +69,25 @@ for doc in $docs; do
   done < <(grep -oE '\]\([^)[:space:]]+\)' "$doc" | sed -e 's/^](//' -e 's/)$//')
 done
 
+# --- 4. dune exec targets ---------------------------------------------
+
+execs=0
+for target in $(grep -ohE 'dune exec [A-Za-z0-9_./-]+\.exe' $docs \
+                | cut -d' ' -f3 | sort -u); do
+  execs=$((execs + 1))
+  dir=$(dirname "$target")
+  name=$(basename "$target" .exe)
+  if [ ! -f "$dir/dune" ] \
+     || ! tr '\n' ' ' < "$dir/dune" \
+          | grep -oE '\(executables?[[:space:]]+\(names?[[:space:]]+[^)]*\)' \
+          | sed -E 's/^\(executables?[[:space:]]+\(names?//; s/\)$//' \
+          | tr -s ' ' '\n' | grep -qx "$name"; then
+    err "docs run 'dune exec $target' but $dir/dune declares no executable '$name'"
+  fi
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "doc_check: FAIL" >&2
   exit 1
 fi
-echo "doc_check: PASS ($(echo "$subcommands" | wc -w | tr -d ' ') subcommands, $(echo "$prefixes" | wc -w | tr -d ' ') counter prefixes, links OK)"
+echo "doc_check: PASS ($(echo "$subcommands" | wc -w | tr -d ' ') subcommands, $(echo "$prefixes" | wc -w | tr -d ' ') counter prefixes, links OK, $execs dune exec targets)"

@@ -110,6 +110,21 @@ let bench_json ~jobs =
      differ between runs. *)
   Nvmpi_obs.Json.to_string (Suite.snapshot_of params results)
 
+(* Process-wide lazy state (the trie vocabulary) is forced by whichever
+   experiment first reaches a trie; with identical experiments on four
+   domains they all reach it at once. This must run before anything else
+   in this executable builds a trie, or the first use is already past. *)
+let test_bench_parallel_first_use () =
+  let open Nvmpi_experiments in
+  let params = { Suite.scale = 0.05; seed = Some 1; wordcount_full = false } in
+  let results = Suite.run_all ~jobs:4 params (List.init 4 (fun _ -> "table1")) in
+  let json r = Nvmpi_obs.Json.to_string (Suite.snapshot_of params [ r ]) in
+  List.iter
+    (fun r ->
+      check Alcotest.string "every domain's table1 identical"
+        (json (List.hd results)) (json r))
+    results
+
 let test_bench_parallel_determinism () =
   let serial = bench_json ~jobs:1 in
   List.iter
@@ -139,6 +154,8 @@ let () =
         [
           Alcotest.test_case "faultsim sweep serial = parallel" `Slow
             test_faultsim_parallel_determinism;
+          Alcotest.test_case "bench matrix first use in parallel" `Slow
+            test_bench_parallel_first_use;
           Alcotest.test_case "bench matrix serial = parallel" `Slow
             test_bench_parallel_determinism;
         ] );
