@@ -41,6 +41,15 @@ let non_negative_float =
     (fun f -> Float.is_finite f && f >= 0.0)
     "a non-negative number"
 
+(* A store file that does not load is a read error (exit 2), reported
+   as FILE: reason. *)
+let load_store path =
+  match Nvmpi_nvregion.Store.load_file path with
+  | Ok store -> store
+  | Error reason ->
+      Printf.eprintf "%s: %s\n" path reason;
+      exit 2
+
 (* --jobs: every parallel driver takes it with its own doc string. *)
 let jobs ~doc =
   Arg.(value & opt positive_int 1 & info [ "jobs" ] ~docv:"N" ~doc)
@@ -266,7 +275,7 @@ let run_cmd =
     end;
     let store =
       match store_path with
-      | Some p when Sys.file_exists p -> Nvmpi_nvregion.Store.load_file p
+      | Some p when Sys.file_exists p -> load_store p
       | _ -> Nvmpi_nvregion.Store.create ()
     in
     let machine = Core.Machine.create ?seed ~store () in
@@ -307,7 +316,7 @@ let crash_cmd =
                    fence) instead of only after fences.")
   in
   let sample =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive_int) None
          & info [ "sample" ] ~docv:"N"
              ~doc:"Inject crashes at N seeded random event indices per \
                    scenario (plus the endpoints). Overrides --exhaustive.")
@@ -419,7 +428,7 @@ let fuzz_cmd =
                    reproducible.")
   in
   let traces =
-    Arg.(value & opt int 200
+    Arg.(value & opt positive_int 200
          & info [ "traces" ] ~docv:"K" ~doc:"Number of random traces.")
   in
   let json =
@@ -632,7 +641,7 @@ let inspect_cmd =
          & info [] ~docv:"STORE" ~doc:"Store image written by 'run --store'.")
   in
   let run file =
-    let store = Nvmpi_nvregion.Store.load_file file in
+    let store = load_store file in
     let machine = Core.Machine.create ~seed:1 ~store () in
     let ids = Nvmpi_nvregion.Store.ids store in
     Printf.printf "store %s: %d region(s)\n" file (List.length ids);

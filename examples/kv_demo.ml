@@ -37,7 +37,7 @@ let () =
   (* The device image travels through a file, like a real NVDIMM dump. *)
   let path = Filename.temp_file "kv" ".nvm" in
   Store.save_file store path;
-  let store = Store.load_file path in
+  let store = Result.get_ok (Store.load_file path) in
   Sys.remove path;
   (* Session 2: recovery + reads at a different mapping. *)
   let m = Machine.create ~seed:99 ~store () in

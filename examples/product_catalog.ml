@@ -98,7 +98,7 @@ let () =
      process picked it up later. *)
   let path = Filename.temp_file "catalog" ".nvm" in
   Store.save_file store path;
-  let store2 = Store.load_file path in
+  let store2 = Result.get_ok (Store.load_file path) in
   Sys.remove path;
   read store2 rids;
   print_endline "cross-region references held across remap + file roundtrip."

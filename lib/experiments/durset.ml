@@ -36,10 +36,6 @@ let line_bytes = 64
 
 let structures = [ Instance.Hashset; Instance.Btree ]
 
-(* The 8-byte-slot encodings the mark bit fits; mirrors
-   [Nvmpi_faultsim.Scenario.durable_reprs]. *)
-let reprs =
-  [ Repr.Off_holder; Repr.Riv; Repr.Based; Repr.Packed_fat; Repr.Hw_oid ]
 
 let counter_cols = [ "timing.flushes"; "timing.fences" ]
 
@@ -171,7 +167,7 @@ let table ?(scale = 1.0) ?seed () =
                              p.traverse_counters;
                          ] );
                    ] ))
-             reprs)
+             Durable.reprs)
          structures)
   in
   {

@@ -9,6 +9,12 @@
     crash point [seq] (regions remapped to fresh random segments) and
     returns [Ok ()] or [Error reason].
 
+    Every scenario is built by one internal scaffold from a row — name,
+    [expect_fail], representation, pre-arm setup, workload, oracle —
+    which owns the boot, the [Based] base register on the workload and
+    recovery machines, the tracker, and finding the region again on
+    recovery (docs/FAULTSIM.md, "Adding a scenario").
+
     [expect_fail] marks self-test doubles (e.g. a fence-dropping
     checkpoint): the sweep inverts the verdict — such a scenario passes
     only if at least one crash point produces a violation, proving the
@@ -71,14 +77,6 @@ val alloc_leak_selftest : unit -> t
     opening a window where a live block is unreachable. The sweep must
     report the leak ([expect_fail]). *)
 
-val durable_reprs : Core.Repr.kind list
-(** The 8-byte-slot representations the link-and-persist mark bit fits
-    ([Nvmpi_structures.Durable.applicable]). *)
-
-val durable_structures : Nvmpi_experiments.Instance.structure list
-(** Hashset and bstree — the structures ported to the durable
-    discipline. *)
-
 val durable_scenario :
   ?ops:int ->
   ?drop_flushes:bool ->
@@ -91,15 +89,16 @@ val durable_scenario :
     (count, checksum and per-key membership, probed through a
     traverse-mode attach so marked-link repair is exercised), with the
     single in-flight op either fully applied or fully absent.
-    [~drop_flushes:true] is the selftest double ([expect_fail]): every
-    window flush/fence is suppressed, so completed ops never become
+    [~drop_flushes:true] is the selftest double ([expect_fail]): the
+    churn runs under {!Tracker.dropping_persists}, so no window
+    flush/fence reaches the durable image, completed ops never become
     durable and the oracle must flag the loss. *)
 
 val snapshot_cells_scenario :
   ?epochs:int ->
   ?cells:int ->
   ?granularity:Nvmpi_snapshot.Snapshot.granularity ->
-  ?drop_writeback:bool ->
+  ?skip_writeback:bool ->
   unit ->
   t
 (** Failure-atomic snapshot epochs (docs/SNAPSHOT.md) over a strided
@@ -109,9 +108,10 @@ val snapshot_cells_scenario :
     replays explicitly) and pre-truncate: the recovered image, after
     [Snapshot.attach] replays any committed log, equals exactly the
     last synced epoch, with the in-flight sync all-or-nothing.
-    [~drop_writeback:true] is the selftest double ([expect_fail]): the
-    in-place write-back is suppressed while the truncate still runs,
-    so a committed epoch is durably discarded and must be flagged. *)
+    [~skip_writeback:true] is the selftest double ([expect_fail]):
+    every other epoch runs [sync ~stop_after:`Commit] then
+    {!Nvmpi_snapshot.Snapshot.truncate} — no in-place write-back — so
+    a committed epoch is durably discarded and must be flagged. *)
 
 val snapshot_kv_scenario :
   ?epochs:int ->

@@ -110,24 +110,6 @@ let merge_scenario ~metrics ~tracker (sc : Scenario.t) ~points ~outcomes
     wall_ns;
   }
 
-let run_scenario ?(jobs = 1) ~metrics ~seed ~mode (sc : Scenario.t) =
-  let t0 = Nvmpi_parsweep.Wall.now_ns () in
-  let { Scenario.tracker; verify } = sc.Scenario.run ~metrics ~seed in
-  (* The workload is over; stop recording so recovery machines and the
-     verification itself cannot grow the log under the cursor. *)
-  Tracker.disarm tracker;
-  let points = crash_points tracker mode ~seed in
-  let outcomes =
-    if jobs <= 1 then eval_points ~tracker ~verify ~seed points
-    else
-      Nvmpi_parsweep.Pool.chunks ~jobs points
-      |> List.map (fun chunk () -> eval_points ~tracker ~verify ~seed chunk)
-      |> Nvmpi_parsweep.Pool.map ~jobs
-      |> List.concat
-  in
-  merge_scenario ~metrics ~tracker sc ~points ~outcomes
-    ~wall_ns:(Nvmpi_parsweep.Wall.now_ns () - t0)
-
 let rec take_drop n lst =
   if n = 0 then ([], lst)
   else
@@ -138,55 +120,54 @@ let rec take_drop n lst =
         (x :: taken, rest)
 
 let run ?(jobs = 1) ?(mode = After_fences) ~metrics ~seed scenarios =
-  let scenarios =
-    if jobs <= 1 then
-      List.map (fun sc -> run_scenario ~metrics ~seed ~mode sc) scenarios
-    else begin
-      (* Workloads feed the shared registry: run them serially, in
-         order. Chunk evaluation is where the time goes, so every chunk
-         of every scenario is submitted to ONE pool — domains are
-         spawned once per sweep, not once per scenario. *)
-      let prepared =
+  (* Workloads feed the shared registry: run them serially, in order.
+     Chunk evaluation is where the time goes, so every chunk of every
+     scenario is submitted to ONE pool — domains are spawned once per
+     sweep, not once per scenario. At [jobs = 1] the pool runs the
+     single chunk per scenario inline, so every [jobs] value runs this
+     same code. *)
+  let prepared =
+    List.map
+      (fun sc ->
+        let (tracker, verify, points), workload_ns =
+          Nvmpi_parsweep.Wall.time (fun () ->
+              let { Scenario.tracker; verify } =
+                sc.Scenario.run ~metrics ~seed
+              in
+              (* The workload is over; stop recording so recovery
+                 machines and the verification itself cannot grow the
+                 log under the cursor. *)
+              Tracker.disarm tracker;
+              (tracker, verify, crash_points tracker mode ~seed))
+        in
+        (sc, tracker, verify, points, Nvmpi_parsweep.Pool.chunks ~jobs points,
+         workload_ns))
+      scenarios
+  in
+  let tasks =
+    List.concat_map
+      (fun (_, tracker, verify, _, chunks, _) ->
         List.map
-          (fun sc ->
-            let prep, workload_ns =
-              Nvmpi_parsweep.Wall.time (fun () ->
-                  let { Scenario.tracker; verify } =
-                    sc.Scenario.run ~metrics ~seed
-                  in
-                  Tracker.disarm tracker;
-                  let points = crash_points tracker mode ~seed in
-                  (tracker, verify, points,
-                   Nvmpi_parsweep.Pool.chunks ~jobs points))
-            in
-            (sc, prep, workload_ns))
-          scenarios
-      in
-      let tasks =
-        List.concat_map
-          (fun (_, (tracker, verify, _, chunks), _) ->
-            List.map
-              (fun chunk () ->
-                Nvmpi_parsweep.Wall.time (fun () ->
-                    eval_points ~tracker ~verify ~seed chunk))
-              chunks)
-          prepared
-      in
-      let evaluated = ref (Nvmpi_parsweep.Pool.map ~jobs tasks) in
-      List.map
-        (fun (sc, (tracker, _, points, chunks), workload_ns) ->
-          let mine, rest = take_drop (List.length chunks) !evaluated in
-          evaluated := rest;
-          let outcomes = List.concat_map fst mine in
-          (* Under a parallel sweep, a scenario's wall_ns is its serial
-             workload time plus the summed (CPU-like) time of its
-             chunks, which overlap other scenarios' chunks on the
-             pool. *)
-          let eval_ns = List.fold_left (fun a (_, ns) -> a + ns) 0 mine in
-          merge_scenario ~metrics ~tracker sc ~points ~outcomes
-            ~wall_ns:(workload_ns + eval_ns))
-        prepared
-    end
+          (fun chunk () ->
+            Nvmpi_parsweep.Wall.time (fun () ->
+                eval_points ~tracker ~verify ~seed chunk))
+          chunks)
+      prepared
+  in
+  let evaluated = ref (Nvmpi_parsweep.Pool.map ~jobs tasks) in
+  let scenarios =
+    List.map
+      (fun (sc, tracker, _, points, chunks, workload_ns) ->
+        let mine, rest = take_drop (List.length chunks) !evaluated in
+        evaluated := rest;
+        (* A scenario's wall_ns is its serial workload time plus the
+           summed (CPU-like) time of its chunks, which under [jobs > 1]
+           overlap other scenarios' chunks on the pool. *)
+        let eval_ns = List.fold_left (fun a (_, ns) -> a + ns) 0 mine in
+        merge_scenario ~metrics ~tracker sc ~points
+          ~outcomes:(List.concat_map fst mine)
+          ~wall_ns:(workload_ns + eval_ns))
+      prepared
   in
   let durable =
     List.fold_left (fun a r -> a + r.durable_bytes) 0 scenarios

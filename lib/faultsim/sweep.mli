@@ -43,20 +43,6 @@ val scenario_ok : scenario_result -> bool
 
 val ok : report -> bool
 
-val run_scenario :
-  ?jobs:int ->
-  metrics:Nvmpi_obs.Metrics.t ->
-  seed:int ->
-  mode:mode ->
-  Scenario.t ->
-  scenario_result
-(** [jobs > 1] splits the crash points into contiguous chunks evaluated
-    on a {!Nvmpi_parsweep.Pool} — one private {!Replay} cursor per
-    chunk, recovery machines on private metrics registries — and merges
-    outcomes in ascending point order on the calling domain. The result
-    (and the shared registry's counters) are identical for any [jobs];
-    only wall-clock changes. *)
-
 val run :
   ?jobs:int ->
   ?mode:mode ->
@@ -65,13 +51,19 @@ val run :
   Scenario.t list ->
   report
 (** Scenario workloads always run serially on the calling domain (they
-    feed the shared metrics registry); [jobs] then evaluates {e every}
-    chunk of {e every} scenario's crash points on a single Domain pool
-    (one spawn per sweep), merging per scenario as in {!run_scenario}.
-    Under [jobs > 1] each [wall_ns] is the scenario's serial workload
-    time plus the summed chunk-evaluation time — chunks of different
-    scenarios overlap, so per-scenario numbers are CPU-like; only the
-    report total is comparable to elapsed time at [jobs = 1]. *)
+    feed the shared metrics registry). Their crash points are then split
+    into at most [jobs] contiguous chunks each, and {e every} chunk of
+    {e every} scenario is evaluated on a single {!Nvmpi_parsweep.Pool}
+    (one spawn per sweep; at [jobs = 1] the same chunks run inline) —
+    one private {!Replay} cursor per chunk, recovery machines on private
+    metrics registries. Outcomes merge per scenario in ascending point
+    order on the calling domain, so the report and the shared
+    registry's counters are identical for any [jobs]; only wall-clock
+    changes. Each [wall_ns] is the scenario's serial workload time plus
+    its summed chunk-evaluation time — chunks of different scenarios
+    overlap under [jobs > 1], so per-scenario numbers are CPU-like;
+    only the report total is comparable to elapsed time at
+    [jobs = 1]. *)
 
 val json_of_report : report -> Nvmpi_obs.Json.t
 (** Deterministic sweep report (kind ["faultsim"]) — byte-identical for

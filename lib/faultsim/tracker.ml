@@ -20,6 +20,7 @@ type t = {
   machine : Machine.t;
   line : int;
   mutable armed : bool;
+  mutable dropping : bool;
   mutable tracked : tracked list;
   mutable buf : Events.t array;
   mutable len : int;
@@ -87,6 +88,10 @@ let apply_crash t =
     t.tracked;
   Timing.invalidate_caches t.machine.Machine.timing
 
+(* Flushes and fences count only while armed and outside a
+   {!dropping_persists} scope. *)
+let persisting t = t.armed && not t.dropping
+
 let attach machine =
   let line =
     1 lsl (Timing.cfg machine.Machine.timing).Timing_config.line_bits
@@ -97,6 +102,7 @@ let attach machine =
       machine;
       line;
       armed = false;
+      dropping = false;
       tracked = [];
       buf = [||];
       len = 0;
@@ -110,8 +116,8 @@ let attach machine =
   Timing.set_persist_hook machine.Machine.timing
     (Some
        (function
-       | Timing.Flushed addr -> if t.armed then on_flush t addr
-       | Timing.Fenced -> if t.armed then on_fence t));
+       | Timing.Flushed addr -> if persisting t then on_flush t addr
+       | Timing.Fenced -> if persisting t then on_fence t));
   machine.Machine.crash_hook <- Some (fun () -> apply_crash t);
   t
 
@@ -133,6 +139,11 @@ let arm t =
   t.armed <- true
 
 let disarm t = t.armed <- false
+
+let dropping_persists t f =
+  t.dropping <- true;
+  Fun.protect ~finally:(fun () -> t.dropping <- false) f
+
 let armed t = t.armed
 let machine t = t.machine
 let line_size t = t.line

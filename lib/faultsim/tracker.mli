@@ -29,6 +29,15 @@ val arm : t -> unit
 
 val disarm : t -> unit
 val armed : t -> bool
+
+val dropping_persists : t -> (unit -> 'a) -> 'a
+(** [dropping_persists t f] runs [f] with every flush and fence it
+    issues left out of [t]'s log, as if power-failure ordering had never
+    seen them: stores still land, but nothing [f] persists becomes
+    durable. The machine still executes and charges the flushes; only
+    this tracker's view drops them. The fault double behind the
+    [selftest-dropflush-*] scenarios. *)
+
 val machine : t -> Core.Machine.t
 val line_size : t -> int
 

@@ -91,21 +91,40 @@ let save_file t path =
           output_bytes oc b.data)
         ids)
 
+(* Every length in the file is checked against the bytes that remain
+   before anything is allocated, so a hostile file fails with a reason
+   instead of an exception or a huge allocation. *)
 let load_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let m = really_input_string ic (String.length file_magic) in
-      if m <> file_magic then failwith "Store.load_file: bad magic";
-      let n = input_binary_int ic in
-      let t = create () in
-      for _ = 1 to n do
-        let rid = input_binary_int ic in
-        let size = input_binary_int ic in
-        let data = Bytes.create size in
-        really_input ic data 0 size;
-        Hashtbl.add t.blobs rid { rid = Rid.v rid; size; data };
-        if rid >= t.next then t.next <- rid + 1
-      done;
-      t)
+  match open_in_bin path with
+  | exception Sys_error msg -> Error msg
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          let left () = in_channel_length ic - pos_in ic in
+          let rec blobs t n =
+            if n = 0 then Ok t
+            else
+              let rid = input_binary_int ic in
+              let size = input_binary_int ic in
+              if size < 0 || size > left () then
+                Error
+                  (Printf.sprintf
+                     "region %d: blob size %d out of range (%d bytes left)"
+                     rid size (left ()))
+              else begin
+                let data = Bytes.create size in
+                really_input ic data 0 size;
+                Hashtbl.add t.blobs rid { rid = Rid.v rid; size; data };
+                if rid >= t.next then t.next <- rid + 1;
+                blobs t (n - 1)
+              end
+          in
+          try
+            if really_input_string ic (String.length file_magic) <> file_magic
+            then Error "not a store file (bad magic)"
+            else
+              let n = input_binary_int ic in
+              if n < 0 then Error (Printf.sprintf "negative region count %d" n)
+              else blobs (create ()) n
+          with End_of_file -> Error "truncated store file")

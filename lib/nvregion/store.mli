@@ -49,9 +49,12 @@ val next_rid : t -> Nvmpi_addr.Kinds.Rid.t
 val save_file : t -> string -> unit
 (** Serializes every region image to the given file. *)
 
-val load_file : string -> t
-(** Loads a store previously written by {!save_file}. Raises [Failure]
-    on a malformed file. *)
+val load_file : string -> (t, string) result
+(** Loads a store previously written by {!save_file}. A file that cannot
+    be opened, lacks the store magic, is truncated, or declares a
+    negative region count or a blob size that is negative or larger
+    than the rest of the file is [Error reason]; no exception escapes
+    for a malformed file. *)
 
 (** {1 Region-image header}
 

@@ -17,10 +17,6 @@ type granularity = Line | Page
 
 let granularity_to_string = function Line -> "line" | Page -> "page"
 
-(* Fault-injection double: drop the in-place write-back (step 3) while
-   still truncating the commit record (step 4). See snapshot.mli. *)
-let drop_writeback = ref false
-
 let magic = 0x534E415053484F54 land ((1 lsl 62) - 1) (* "SNAPSHOT" truncated *)
 let root_name = "__snapshot"
 
@@ -236,7 +232,7 @@ let clear_dirty t =
   t.pending <- 0
 
 (* Step 4: durably zero the commit record. Shared by sync and replay. *)
-let truncate t =
+let truncate_log t =
   meta_set t m_commit 0;
   Timing.flush (timing t) ~addr:((meta_addr t m_commit :> int));
   Timing.fence (timing t);
@@ -260,12 +256,13 @@ let replay_committed t =
       pos := !pos + 16 + len
     done;
     Timing.fence (timing t);
-    truncate t;
+    truncate_log t;
     incr t.c_replays;
     t.c_replayed_bytes := !(t.c_replayed_bytes) + committed
   end
 
 let replay t = untracked t (fun () -> replay_committed t)
+let truncate t = untracked t (fun () -> truncate_log t)
 
 let attach machine region =
   match Region.root region root_name with
@@ -326,18 +323,13 @@ let sync ?stop_after t =
         match stop_after with
         | Some `Commit -> ()
         | None ->
-            (* Step 3: write the epoch back in place. The fault double
-               drops this entirely — including the fence — while step 4
-               still durably truncates: the protocol-ordering bug the
-               snapshot oracle must catch. *)
-            if not !drop_writeback then begin
-              List.iter
-                (fun (off, len) ->
-                  flush_range t ~addr:(t.base + off) ~len;
-                  t.c_wb_flushes :=
-                    !(t.c_wb_flushes) + ((len + t.line - 1) / t.line))
-                us;
-              Timing.fence (timing t)
-            end;
+            (* Step 3: write the epoch back in place. *)
+            List.iter
+              (fun (off, len) ->
+                flush_range t ~addr:(t.base + off) ~len;
+                t.c_wb_flushes :=
+                  !(t.c_wb_flushes) + ((len + t.line - 1) / t.line))
+              us;
+            Timing.fence (timing t);
             (* Step 4: truncate. *)
-            truncate t)
+            truncate_log t)

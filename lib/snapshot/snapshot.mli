@@ -99,14 +99,15 @@ val replay : t -> unit
     place, flushes, fences, then truncates. Idempotent; a no-op when
     nothing is committed. @raise Failure on a corrupt log. *)
 
+val truncate : t -> unit
+(** Step 4 of {!sync} alone: durably zero the commit record (flush,
+    fence) without writing anything back, untracked like it runs inside
+    {!sync}. After [sync ~stop_after:`Commit] this discards an epoch
+    whose data lines were never flushed in place — the ordering bug the
+    faultsim double [selftest-snapshot-nowb] commits, which the snapshot
+    oracle must flag. *)
+
 val disable : t -> unit
 (** Stops tracking permanently (the observer stays registered but
     inert). *)
 
-val drop_writeback : bool ref
-(** Fault-injection double (scenario [selftest-snapshot-nowb]): when
-    set, {!sync} skips step 3 entirely — the epoch's data lines are
-    never flushed, yet step 4 still durably truncates the commit
-    record, violating the protocol's ordering discipline. The epoch is
-    silently lost on the next crash and the faultsim snapshot oracle
-    MUST flag it. Only toggled around a scenario workload. *)

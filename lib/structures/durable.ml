@@ -33,24 +33,24 @@ type mode = Eager | Traverse
 (* The mark bit only fits single-word slots; see the header comment. *)
 let applicable ~slot_size = slot_size = 8
 
-(* Fault-injection double (scenario [selftest-dropflush-*]): when set,
-   every window flush and fence this module would issue is silently
-   dropped, so completed operations are never made durable and the
-   faultsim durable-set oracle MUST flag the resulting crash images.
-   Only ever toggled around a scenario workload on the main domain. *)
-let drop_window_flushes = ref false
+(* The representations the discipline covers: position independent,
+   with a slot the mark bit fits. The durable-set experiment and the
+   faultsim durable scenarios both sweep exactly this list. *)
+let reprs =
+  List.filter
+    (fun k ->
+      Core.Repr.position_independent k
+      && applicable ~slot_size:(Core.Repr.slot_size k))
+    Core.Repr.all
 
 let line_bytes = 64
 let mark_bit = 1
 
 let window_flush m ~addr =
-  if not !drop_window_flushes then begin
-    Timing.flush m.Machine.timing ~addr;
-    Machine.bump m Machine.Cell.dur_window_flushes "dur.window_flushes"
-  end
+  Timing.flush m.Machine.timing ~addr;
+  Machine.bump m Machine.Cell.dur_window_flushes "dur.window_flushes"
 
-let fence m =
-  if not !drop_window_flushes then Timing.fence m.Machine.timing
+let fence m = Timing.fence m.Machine.timing
 
 (* Flush every cache line of [addr, addr+len): the modification window's
    clwb over a freshly built node, issued before the node is linked. *)

@@ -105,6 +105,29 @@ let test_tracker_records_and_materializes () =
   check "checkpoint makes the store durable" 222
     (Bytes.get_int64_le img (Region.offset_of_addr r a) |> Int64.to_int)
 
+let test_tracker_dropping_persists () =
+  let m, r = fresh_machine () in
+  let a = Region.alloc r 64 in
+  let tr = Tracker.attach m in
+  Tracker.arm tr;
+  let durable () =
+    Bytes.get_int64_le (Tracker.crash_image tr (Region.rid r))
+      (Region.offset_of_addr r a)
+    |> Int64.to_int
+  in
+  let v =
+    Tracker.dropping_persists tr (fun () ->
+        Machine.store64 m a 5;
+        Tracker.checkpoint tr;
+        17)
+  in
+  check "scoped call returns its result" 17 v;
+  check "only the store is logged" 1 (Tracker.seq tr);
+  check "dropped flush and fence persist nothing" 0 (durable ());
+  check "live memory still holds the store" 5 (Machine.load64 m a);
+  Tracker.checkpoint tr;
+  check "persists count again once the scope ends" 5 (durable ())
+
 let test_tracker_crash_hook_reverts_memory () =
   let m, r = fresh_machine () in
   let a = Region.alloc r 64 in
@@ -179,10 +202,15 @@ let test_replay_matches_tracker () =
 
 (* Sweep --------------------------------------------------------------- *)
 
+let sweep_one ~metrics ~seed ~mode sc =
+  match (Sweep.run ~metrics ~seed ~mode [ sc ]).Sweep.scenarios with
+  | [ r ] -> r
+  | _ -> Alcotest.fail "one scenario in, one result out"
+
 let test_sweep_structure_clean () =
   let metrics = Metrics.create () in
   let r =
-    Sweep.run_scenario ~metrics ~seed:11 ~mode:Sweep.After_fences
+    sweep_one ~metrics ~seed:11 ~mode:Sweep.After_fences
       (Scenario.structure_scenario ~keys:8 Nvmpi_experiments.Instance.List
          Core.Repr.Riv)
   in
@@ -210,7 +238,7 @@ let test_sweep_catches_fence_dropper () =
 let test_sweep_tx_atomicity_exhaustive () =
   let metrics = Metrics.create () in
   let r =
-    Sweep.run_scenario ~metrics ~seed:19 ~mode:Sweep.Exhaustive
+    sweep_one ~metrics ~seed:19 ~mode:Sweep.Exhaustive
       (Scenario.tx_cells_scenario ~txs:3 ())
   in
   check "no torn transaction at any event index" 0
@@ -224,7 +252,7 @@ let test_swizzle_midwalk_crash_pinned () =
      oracle encodes both, so zero failures means both behaviours hold. *)
   let metrics = Metrics.create () in
   let r =
-    Sweep.run_scenario ~metrics ~seed:23 ~mode:Sweep.Exhaustive
+    sweep_one ~metrics ~seed:23 ~mode:Sweep.Exhaustive
       (Scenario.swizzle_window_scenario ~keys:6 ())
   in
   check_bool "every unswizzle-walk event is a crash point" true
@@ -235,7 +263,7 @@ let test_swizzle_midwalk_crash_pinned () =
 let test_sweep_kv_sampled () =
   let metrics = Metrics.create () in
   let r =
-    Sweep.run_scenario ~metrics ~seed:29 ~mode:(Sweep.Sampled 6)
+    sweep_one ~metrics ~seed:29 ~mode:(Sweep.Sampled 6)
       (Scenario.kv_scenario ~ops:5 Core.Repr.Off_holder)
   in
   check "kvstore read-your-writes holds at sampled points" 0
@@ -248,7 +276,7 @@ let test_sweep_alloc_exhaustive () =
      / no-double-map invariants hold at every single crash point. *)
   let metrics = Metrics.create () in
   let r =
-    Sweep.run_scenario ~metrics ~seed:31 ~mode:Sweep.Exhaustive
+    sweep_one ~metrics ~seed:31 ~mode:Sweep.Exhaustive
       (Scenario.alloc_scenario ~ops:8 ())
   in
   check_bool "allocator churn generates many crash points" true
@@ -262,7 +290,7 @@ let test_sweep_alloc_leak_caught () =
      can actually see allocator bugs. *)
   let metrics = Metrics.create () in
   let r =
-    Sweep.run_scenario ~metrics ~seed:31 ~mode:Sweep.After_fences
+    sweep_one ~metrics ~seed:31 ~mode:Sweep.After_fences
       (Scenario.alloc_leak_selftest ())
   in
   check_bool "double is marked expect_fail" true r.Sweep.expect_fail;
@@ -279,7 +307,7 @@ let test_sweep_durable_sets_clean () =
   List.iter
     (fun (structure, repr) ->
       let r =
-        Sweep.run_scenario ~metrics ~seed:37 ~mode:Sweep.Exhaustive
+        sweep_one ~metrics ~seed:37 ~mode:Sweep.Exhaustive
           (Scenario.durable_scenario ~ops:8 structure repr)
       in
       check_bool "durable churn generates many crash points" true
@@ -296,7 +324,7 @@ let test_sweep_durable_dropflush_caught () =
      never become durable; the oracle must flag the loss somewhere. *)
   let metrics = Metrics.create () in
   let r =
-    Sweep.run_scenario ~metrics ~seed:37 ~mode:Sweep.After_fences
+    sweep_one ~metrics ~seed:37 ~mode:Sweep.After_fences
       (Scenario.durable_scenario ~ops:8 ~drop_flushes:true
          Nvmpi_experiments.Instance.Hashset Core.Repr.Riv)
   in
@@ -341,6 +369,8 @@ let () =
         [
           Alcotest.test_case "records and materializes durability" `Quick
             test_tracker_records_and_materializes;
+          Alcotest.test_case "dropping_persists scope" `Quick
+            test_tracker_dropping_persists;
           Alcotest.test_case "crash hook reverts live memory" `Quick
             test_tracker_crash_hook_reverts_memory;
           Alcotest.test_case "Tx.simulate_crash goes through the tracker"

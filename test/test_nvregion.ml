@@ -71,9 +71,59 @@ let test_store_file_roundtrip () =
   Store.save_file s path;
   let s' = Store.load_file path in
   Sys.remove path;
-  let b' = Store.find_exn s' rid in
-  Alcotest.(check char) "payload byte" 'Q' (Bytes.get b'.Store.data 8192);
-  check "next_rid preserved" (ir (Store.next_rid s)) (ir (Store.next_rid s'))
+  match s' with
+  | Error reason -> Alcotest.fail reason
+  | Ok s' ->
+      let b' = Store.find_exn s' rid in
+      Alcotest.(check char) "payload byte" 'Q' (Bytes.get b'.Store.data 8192);
+      check "next_rid preserved"
+        (ir (Store.next_rid s))
+        (ir (Store.next_rid s'))
+
+(* Every malformed file is an [Error], never an exception: a foreign
+   file, a store cut short anywhere, and blob sizes that are negative
+   or larger than what follows. *)
+let test_store_file_malformed () =
+  let s = Store.create () in
+  ignore (Store.add s ~size:4096);
+  let path = Filename.temp_file "nvmpi" ".store" in
+  Store.save_file s path;
+  let good = In_channel.with_open_bin path In_channel.input_all in
+  let load bytes =
+    Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+    Store.load_file path
+  in
+  let expect what reason bytes =
+    match load bytes with
+    | Error r -> Alcotest.(check string) what reason r
+    | Ok _ -> Alcotest.failf "%s: loaded" what
+  in
+  let magic = String.length "NVMPI-STORE-1\n" in
+  let size_at = magic + 8 in
+  let with_size n =
+    let b = Bytes.of_string good in
+    Bytes.set_int32_be b size_at (Int32.of_int n);
+    Bytes.to_string b
+  in
+  expect "foreign file" "not a store file (bad magic)"
+    "{\"not\": \"a store\"}\n";
+  List.iter
+    (fun len ->
+      expect
+        (Printf.sprintf "cut at %d bytes" len)
+        "truncated store file" (String.sub good 0 len))
+    [ 0; 4; magic; magic + 2; magic + 6; size_at + 2 ];
+  expect "cut inside the blob"
+    "region 1: blob size 4096 out of range (100 bytes left)"
+    (String.sub good 0 (size_at + 4 + 100));
+  expect "negative blob size"
+    "region 1: blob size -1 out of range (4096 bytes left)"
+    (with_size (-1));
+  expect "oversized blob size"
+    "region 1: blob size 1073741824 out of range (4096 bytes left)"
+    (with_size (1 lsl 30));
+  check_bool "the intact file still loads" true (Result.is_ok (load good));
+  Sys.remove path
 
 (* Regions through a manager *)
 
@@ -284,6 +334,8 @@ let () =
           Alcotest.test_case "rejects" `Quick test_store_rejects;
           Alcotest.test_case "header init" `Quick test_store_header;
           Alcotest.test_case "file roundtrip" `Quick test_store_file_roundtrip;
+          Alcotest.test_case "file rejects malformed images" `Quick
+            test_store_file_malformed;
         ] );
       ( "regions",
         [

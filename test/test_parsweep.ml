@@ -79,7 +79,9 @@ let rec take n = function
 let sweep_json ~jobs =
   let open Nvmpi_faultsim in
   let metrics = Nvmpi_obs.Metrics.create () in
-  let scenarios = take 4 (Scenario.defaults ()) in
+  (* The selftest doubles ride along: their fault mechanism lives in
+     the tracker and must merge as deterministically as real points. *)
+  let scenarios = take 4 (Scenario.defaults ()) @ Scenario.selftests () in
   let report =
     Sweep.run ~jobs ~mode:(Sweep.Sampled 10) ~metrics ~seed:7 scenarios
   in
