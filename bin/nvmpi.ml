@@ -2,8 +2,6 @@
 
    - [nvmpi bench ...]    regenerate the paper's tables/figures
    - [nvmpi check FILE]   regression-check against a benchmark snapshot
-   - [nvmpi perf]         host-nanosecond profile of the access hot path
-   - [nvmpi bechamel]     bechamel micro-benchmarks of the simulator
    - [nvmpi run FILE]     compile and run an NVC program against a
                           (optionally file-backed) NVM store
    - [nvmpi crash ...]    sweep crash points with the fault-injection
@@ -108,15 +106,7 @@ let bench_cmd =
             snapshot) are identical to a serial run; only wall-clock \
             changes."
   in
-  let wall =
-    Arg.(value & flag
-         & info [ "wall" ]
-             ~doc:"Add a host wall-clock $(b,wall) section, with the \
-                   per-representation single-dereference cost \
-                   $(b,deref_ns_per_op), to the JSON snapshot. Never \
-                   checked (docs/PERF.md).")
-  in
-  let run durability names scale seed full json jobs wall =
+  let run durability names scale seed full json jobs =
     let open Nvmpi_experiments in
     let params = { Suite.scale; seed; wordcount_full = full } in
     let names =
@@ -124,34 +114,17 @@ let bench_cmd =
         (fun n -> if n = "all" then Suite.names else [ n ])
         names
     in
-    let results =
-      if jobs > 1 then begin
-        let results = Suite.run_all ~jobs ~durability params names in
-        List.iter
-          (fun r -> List.iter Table.print r.Suite.tables)
-          results;
-        results
-      end
-      else
-        List.map
-          (fun name ->
-            let r = Suite.run ~durability params name in
-            List.iter Table.print r.Suite.tables;
-            r)
-          names
-    in
+    let results = Suite.run_all ~jobs ~durability params names in
+    List.iter (fun r -> List.iter Table.print r.Suite.tables) results;
     match json with
     | None -> ()
     | Some path ->
-        let deref_ns = if wall then Hostperf.deref_ns_per_op () else [] in
-        Core.Json.to_file path
-          (Suite.snapshot_of ~wall ~deref_ns params results);
+        Core.Json.to_file path (Suite.snapshot_of params results);
         Printf.printf "wrote %s\n" path
   in
   Cmd.v
     (Cmd.info "bench" ~doc:"Regenerate the paper's evaluation tables/figures.")
-    Term.(const run $ durability $ names $ scale $ seed $ full $ json $ jobs
-          $ wall)
+    Term.(const run $ durability $ names $ scale $ seed $ full $ json $ jobs)
 
 (* check *)
 
@@ -216,30 +189,6 @@ let check_cmd =
        ~doc:"Re-run the experiments a benchmark snapshot records and fail \
              on cycle-count regressions beyond the tolerance.")
     Term.(const run $ baseline $ tolerance $ jobs)
-
-(* perf *)
-
-let perf_cmd =
-  let ops =
-    Arg.(value & opt positive_int 1_000_000
-         & info [ "ops" ] ~docv:"N" ~doc:"Operations per profile row.")
-  in
-  Cmd.v
-    (Cmd.info "perf"
-       ~doc:"Print a host-nanosecond profile of the simulator's access hot \
-             path: raw Memsim loads/stores, the same with the timing model \
-             attached, and stores under an armed fault-injection tracker.")
-    Term.(const (fun ops -> Hostperf.perf_main ~ops) $ ops)
-
-(* bechamel *)
-
-let bechamel_cmd =
-  Cmd.v
-    (Cmd.info "bechamel"
-       ~doc:"Run the bechamel micro-benchmarks: host nanoseconds per \
-             simulated pointer load and dereference under each \
-             representation, and per RIV traversal of each structure.")
-    Term.(const Hostperf.bechamel_suite $ const ())
 
 (* run *)
 
@@ -530,13 +479,6 @@ let serve_cmd =
                    30/40/15/15 with deletes) or an explicit \
                    read:F,update:F,insert:F[,delete:F] list.")
   in
-  let churn =
-    Arg.(value & flag
-         & info [ "churn" ]
-             ~doc:"Shorthand for --mix churn: overwrite- and \
-                   delete-heavy traffic with value-size churn, driving \
-                   the allocator's free/reuse paths.")
-  in
   let ops =
     Arg.(value & opt int d.Server.ops
          & info [ "ops" ] ~docv:"N"
@@ -588,13 +530,12 @@ let serve_cmd =
             report (and its JSON) is identical to a serial run; only \
             wall-clock changes."
   in
-  let run durability tenants theta mix churn ops seed shards resident keys
+  let run durability tenants theta mix ops seed shards resident keys
       value_bytes reprs json jobs =
     let fail msg =
       Printf.eprintf "serve: %s\n" msg;
       exit 2
     in
-    let mix = if churn then "churn" else mix in
     let mix =
       match Server.mix_of_string mix with Ok m -> m | Error msg -> fail msg
     in
@@ -630,7 +571,7 @@ let serve_cmd =
              deterministic request loop and drive a YCSB-style zipfian \
              workload across every pointer representation, with LRU \
              map/unmap residency churn.")
-    Term.(const run $ durability $ tenants $ theta $ mix $ churn $ ops $ seed
+    Term.(const run $ durability $ tenants $ theta $ mix $ ops $ seed
           $ shards $ resident $ keys $ value_bytes $ reprs $ json $ jobs)
 
 (* inspect *)
@@ -702,5 +643,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "nvmpi" ~doc)
-          [ bench_cmd; check_cmd; perf_cmd; bechamel_cmd; run_cmd; crash_cmd;
-            fuzz_cmd; serve_cmd; inspect_cmd; layout_cmd ]))
+          [ bench_cmd; check_cmd; run_cmd; crash_cmd; fuzz_cmd; serve_cmd;
+            inspect_cmd; layout_cmd ]))

@@ -2,8 +2,9 @@ module Json = Nvmpi_obs.Json
 
 let schema_version = 2
 
-(* v1 snapshots differ from v2 only by the optional "wall" section, which
-   the cycle check never reads, so both remain checkable. *)
+(* v2 differs from v1 only by an optional host wall-clock "wall" section
+   that nothing writes any more and the cycle check never read, so
+   snapshots of both versions remain checkable. *)
 let readable_versions = [ 1; 2 ]
 
 type params = { scale : float; seed : int option; wordcount_full : bool }
@@ -40,24 +41,19 @@ let experiments =
 let names = List.map fst experiments
 let mem name = List.mem_assoc name experiments
 
-type result = { name : string; tables : Table.t list; wall_ns : int }
+type result = { name : string; tables : Table.t list }
 
-let run ?(durability = Core.Durability.Eager) p name =
+let run durability p name =
   match List.assoc_opt name experiments with
-  | Some f ->
-      let tables, wall_ns =
-        Nvmpi_parsweep.Wall.time (fun () -> f p durability)
-      in
-      { name; tables; wall_ns }
+  | Some f -> { name; tables = f p durability }
   | None -> invalid_arg (Printf.sprintf "Suite.run: unknown experiment %S" name)
 
 (* Experiments build private machines and metrics registries, so they can
-   run on separate domains; results come back in request order either way. *)
-let run_all ?(jobs = 1) ?durability p names =
-  if jobs <= 1 then List.map (run ?durability p) names
-  else
-    Nvmpi_parsweep.Pool.map ~jobs
-      (List.map (fun name () -> run ?durability p name) names)
+   run on separate domains; results come back in request order either way,
+   and [jobs = 1] runs them inline. *)
+let run_all ?(jobs = 1) ?(durability = Core.Durability.Eager) p names =
+  Nvmpi_parsweep.Pool.map ~jobs
+    (List.map (fun name () -> run durability p name) names)
 
 (* Snapshot (de)serialization -------------------------------------- *)
 
@@ -69,8 +65,8 @@ let params_to_json p =
       ("wordcount_full", Json.Bool p.wordcount_full);
     ]
 
-let snapshot_of ?(wall = false) ?(deref_ns = []) p results =
-  let base =
+let snapshot_of p results =
+  Json.Obj
     [
       ("schema_version", Json.Int schema_version);
       ("params", params_to_json p);
@@ -85,42 +81,6 @@ let snapshot_of ?(wall = false) ?(deref_ns = []) p results =
                  ])
              results) );
     ]
-  in
-  (* Wall-clock is host noise, not simulated time: it lives in its own
-     section, off by default, so snapshots stay byte-comparable and the
-     cycle check below never sees it. *)
-  let wall_section =
-    if not wall then []
-    else
-      [
-        ( "wall",
-          Json.Obj
-            ([
-               ( "total_ns",
-                 Json.Int
-                   (List.fold_left (fun a r -> a + r.wall_ns) 0 results) );
-               ( "experiments",
-                 Json.List
-                   (List.map
-                      (fun r ->
-                        Json.Obj
-                          [
-                            ("name", Json.String r.name);
-                            ("wall_ns", Json.Int r.wall_ns);
-                          ])
-                      results) );
-             ]
-            @
-            if deref_ns = [] then []
-            else
-              [
-                ( "deref_ns_per_op",
-                  Json.Obj
-                    (List.map (fun (n, v) -> (n, Json.Float v)) deref_ns) );
-              ]) );
-      ]
-  in
-  Json.Obj (base @ wall_section)
 
 let ( let* ) = Result.bind
 

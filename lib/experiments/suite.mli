@@ -8,9 +8,12 @@
     {v
     { "schema_version": 2,
       "params": { "scale": ..., "seed": ..., "wordcount_full": ... },
-      "experiments": [ { "name": "fig12", "tables": [ ... ] }, ... ],
-      "wall": { ... }   (optional, host wall-clock — never checked) }
+      "experiments": [ { "name": "fig12", "tables": [ ... ] }, ... ] }
     v}
+
+    Every number in it is simulated, so a snapshot is byte-identical
+    across reruns and across [--jobs]. Host time is measured by
+    [perfbench/], never here.
 
     [check] compares the per-cell ["cycles"] values of two snapshots'
     table records; because the simulator is deterministic, a fresh run
@@ -28,44 +31,29 @@ val default : params
 (** scale 1.0, default seeds, scaled wordcount inputs. *)
 
 val names : string list
-(** Every experiment name, in paper order: fig12, payload, table1,
-    fig13, fig14, regions, fig15, breakdown, ablations. The bechamel
-    host-time micro-benchmarks are not part of the suite — they measure
-    the simulator, not the simulated machine, so they have no
-    deterministic cycle numbers to snapshot. *)
+(** Every experiment name: the paper's fig12, payload, table1, fig13,
+    fig14, regions, fig15, breakdown and ablations, in paper order,
+    then this repo's churn, durset and snapshot. *)
 
 val mem : string -> bool
 (** Whether a string names a suite experiment. *)
 
-type result = { name : string; tables : Table.t list; wall_ns : int }
-(** [wall_ns] is the host wall-clock the experiment took to {e run};
-    it never appears in the table cells. *)
-
-val run : ?durability:Core.Durability.t -> params -> string -> result
-(** Runs one named experiment on machines created with [durability]
-    (default eager). The discipline is not part of [params]: snapshots
-    do not record it, so {!check} always re-runs eager.
-    @raise Invalid_argument on an unknown name (check {!mem} first). *)
+type result = { name : string; tables : Table.t list }
 
 val run_all :
   ?jobs:int -> ?durability:Core.Durability.t -> params -> string list ->
   result list
-(** [jobs > 1] runs the experiments on a {!Nvmpi_parsweep.Pool} — each
-    experiment already builds private machines and metrics registries —
-    and returns results in request order, identical to the serial run
-    except for [wall_ns]. *)
+(** Runs the named experiments on machines created with [durability]
+    (default eager), on a {!Nvmpi_parsweep.Pool} of [jobs] domains
+    (default 1, which runs them inline) — each experiment builds
+    private machines and metrics registries — and returns results in
+    request order, identical for every [jobs]. The discipline is not
+    part of [params]: snapshots do not record it, so {!check} always
+    re-runs eager.
+    @raise Invalid_argument on an unknown name (check {!mem} first). *)
 
-val snapshot_of :
-  ?wall:bool ->
-  ?deref_ns:(string * float) list ->
-  params -> result list -> Nvmpi_obs.Json.t
-(** The schema-versioned snapshot document for a set of results.
-    [~wall:true] (default false) appends a ["wall"] section with
-    per-experiment and total [wall_ns], and — when
-    [deref_ns] is non-empty — a ["deref_ns_per_op"] object mapping each
-    representation to its measured host-nanosecond single-dereference
-    cost. {!check} ignores the whole section, and determinism tests
-    compare snapshots without it. *)
+val snapshot_of : params -> result list -> Nvmpi_obs.Json.t
+(** The schema-versioned snapshot document for a set of results. *)
 
 val params_of_json :
   Nvmpi_obs.Json.t -> (params, string) Stdlib.result

@@ -109,7 +109,8 @@ let default =
 let validate c =
   let err fmt = Printf.ksprintf Result.error fmt in
   if c.tenants < 1 then err "tenants must be >= 1"
-  else if c.theta < 0.0 || c.theta >= 1.0 then err "theta must be in [0, 1)"
+  else if not (c.theta >= 0.0 && c.theta < 1.0) then
+    err "theta must be in [0, 1)"
   else if not (mix_valid c.mix) then
     err "mix probabilities must be non-negative and sum to 1"
   else if c.ops < 0 then err "ops must be >= 0"

@@ -7,7 +7,7 @@ type t = {
 
 let v ~n ~theta =
   if n < 1 then invalid_arg "Zipf.v: n must be >= 1";
-  if theta < 0.0 || theta >= 1.0 then
+  if not (theta >= 0.0 && theta < 1.0) then
     invalid_arg "Zipf.v: theta must be in [0, 1)";
   if theta = 0.0 then { n; theta; zetan = 0.0; cdf = [||] }
   else begin

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Documentation consistency gate (CI step; run any time with
-# scripts/doc_check.sh). Four checks, all derived from the code so the
+# scripts/doc_check.sh). Five checks, all derived from the code so the
 # docs cannot silently go stale:
 #
 #   1. every nvmpi subcommand (the Cmd.info names in bin/nvmpi.ml) is
@@ -11,7 +11,13 @@
 #      (anchors stripped; http(s)/mailto links skipped);
 #   4. every `dune exec <dir>/<name>.exe` in the curated docs names an
 #      executable declared in <dir>/dune (`(executable (name <name>))`
-#      or `(executables (names ... <name> ...))`).
+#      or `(executables (names ... <name> ...))`);
+#   5. every nvmpi command line in the curated docs and in
+#      .claude/skills/verify/SKILL.md (`` `nvmpi <word>`` or
+#      `nvmpi.exe -- <word>`) names a subcommand,
+#      and every --flag on such a line is declared by an `info [...]` in
+#      bin/nvmpi.ml, so a retired subcommand or flag cannot linger.
+#      ROADMAP.md is exempt: it names commands that do not exist yet.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -86,8 +92,30 @@ for target in $(grep -ohE 'dune exec [A-Za-z0-9_./-]+\.exe' $docs \
   fi
 done
 
+# --- 5. nvmpi command lines ------------------------------------------
+
+flags=$(grep -oE 'info[[:space:]]*\[[^]]*\]' bin/nvmpi.ml \
+        | grep -oE '"[a-z][a-z0-9-]+"' | tr -d '"' | sort -u)
+[ -n "$flags" ] || { echo "doc_check: no flags found in bin/nvmpi.ml" >&2; exit 2; }
+cmdlines=0
+cmd_re='(`nvmpi|nvmpi\.exe --) [a-z][a-z-]*'
+for doc in ${docs/ROADMAP.md/} .claude/skills/verify/SKILL.md; do
+  while IFS=: read -r line text; do
+    cmdlines=$((cmdlines + 1))
+    for sub in $(grep -oE "$cmd_re" <<<"$text" | awk '{print $NF}'); do
+      grep -qx "$sub" <<<"$subcommands" \
+        || err "$doc:$line runs 'nvmpi $sub', which is not a subcommand"
+    done
+    for flag in $(grep -oE '(^|[^a-z0-9-])--[a-z][a-z0-9-]*' <<<"$text" \
+                  | sed -E 's/^.*--//' | sort -u); do
+      grep -qx "$flag" <<<"$flags" \
+        || err "$doc:$line passes '--$flag', which bin/nvmpi.ml does not declare"
+    done
+  done < <(grep -nE "$cmd_re" "$doc" || true)
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "doc_check: FAIL" >&2
   exit 1
 fi
-echo "doc_check: PASS ($(echo "$subcommands" | wc -w | tr -d ' ') subcommands, $(echo "$prefixes" | wc -w | tr -d ' ') counter prefixes, links OK, $execs dune exec targets)"
+echo "doc_check: PASS ($(echo "$subcommands" | wc -w | tr -d ' ') subcommands, $(echo "$prefixes" | wc -w | tr -d ' ') counter prefixes, links OK, $execs dune exec targets, $cmdlines nvmpi command lines)"

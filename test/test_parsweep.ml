@@ -108,8 +108,6 @@ let bench_json ~jobs =
   let params = { Suite.scale = 0.05; seed = Some 1; wordcount_full = false } in
   let names = [ "fig12"; "breakdown" ] in
   let results = Suite.run_all ~jobs params names in
-  (* Compare without the wall section — the only field allowed to
-     differ between runs. *)
   Nvmpi_obs.Json.to_string (Suite.snapshot_of params results)
 
 (* Process-wide lazy state (the trie vocabulary) is forced by whichever

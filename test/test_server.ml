@@ -22,7 +22,12 @@ let test_zipf_validate () =
       ignore (Zipf.v ~n:10 ~theta:1.0));
   Alcotest.check_raises "theta < 0"
     (Invalid_argument "Zipf.v: theta must be in [0, 1)") (fun () ->
-      ignore (Zipf.v ~n:10 ~theta:(-0.1)))
+      ignore (Zipf.v ~n:10 ~theta:(-0.1)));
+  (* Every comparison with NaN is false, so a range check written as
+     [theta < 0 || theta >= 1] would let it through. *)
+  Alcotest.check_raises "theta = nan"
+    (Invalid_argument "Zipf.v: theta must be in [0, 1)") (fun () ->
+      ignore (Zipf.v ~n:10 ~theta:Float.nan))
 
 let test_zipf_range () =
   let z = Zipf.v ~n:7 ~theta:0.99 in
@@ -149,6 +154,7 @@ let test_validate () =
     | Error _ -> ()
   in
   bad { d with Server.theta = 1.0 };
+  bad { d with Server.theta = Float.nan };
   bad { d with Server.tenants = 0 };
   bad { d with Server.shards = d.Server.tenants + 1 };
   bad { d with Server.resident = 0 };
