@@ -56,20 +56,21 @@ let jobs ~doc =
    subcommand creates (docs/DURABLE.md, docs/SNAPSHOT.md). Taken by the
    drivers whose workload it changes (bench, fuzz, serve); check re-runs
    a baseline with its own parameters and crash scenarios fix their own
-   disciplines, so neither takes it. Reports never record it. *)
-let durability =
+   disciplines, so neither takes it. Reports never record it. [note]
+   ends the doc string with what a driver leaves out of its reach. *)
+let durability ?(note = "") () =
   let modes =
     List.map (fun d -> (Core.Durability.to_string d, d)) Core.Durability.all
   in
   Arg.(value & opt (enum modes) Core.Durability.Eager
        & info [ "durability" ] ~docv:"MODE"
-           ~doc:"Persistence discipline: $(b,eager) (legacy, the \
-                 default), $(b,traverse) (link-and-persist \
-                 flush-minimized durability for hashset/bstree; \
-                 docs/DURABLE.md), $(b,snapshot) (failure-atomic \
-                 sync epochs, line-granular WAL) or \
-                 $(b,snapshot-page) (the same at page granularity; \
-                 docs/SNAPSHOT.md).")
+           ~doc:("Persistence discipline: $(b,eager) (legacy, the \
+                  default), $(b,traverse) (link-and-persist \
+                  flush-minimized durability for hashset/bstree; \
+                  docs/DURABLE.md), $(b,snapshot) (failure-atomic \
+                  sync epochs, line-granular WAL) or \
+                  $(b,snapshot-page) (the same at page granularity; \
+                  docs/SNAPSHOT.md)." ^ note))
 
 (* bench *)
 
@@ -105,6 +106,12 @@ let bench_cmd =
       ~doc:"Run experiments on N domains. Results (and the JSON \
             snapshot) are identical to a serial run; only wall-clock \
             changes."
+  in
+  let durability =
+    durability
+      ~note:" The $(b,churn), $(b,durset) and $(b,snapshot) experiments \
+              fix their own disciplines and ignore it."
+      ()
   in
   let run durability names scale seed full json jobs =
     let open Nvmpi_experiments in
@@ -454,7 +461,7 @@ let fuzz_cmd =
              simulated machine, cross-check the position-independent \
              representations pairwise after each remap, and shrink any \
              divergence to a replayable s-expression.")
-    Term.(const run $ durability $ seed $ traces $ json $ jobs $ replay)
+    Term.(const run $ durability () $ seed $ traces $ json $ jobs $ replay)
 
 (* serve *)
 
@@ -571,7 +578,7 @@ let serve_cmd =
              deterministic request loop and drive a YCSB-style zipfian \
              workload across every pointer representation, with LRU \
              map/unmap residency churn.")
-    Term.(const run $ durability $ tenants $ theta $ mix $ ops $ seed
+    Term.(const run $ durability () $ tenants $ theta $ mix $ ops $ seed
           $ shards $ resident $ keys $ value_bytes $ reprs $ json $ jobs)
 
 (* inspect *)
@@ -609,7 +616,10 @@ let inspect_cmd =
                  record(s)\n"
                 (Nvmpi_tx.Objstore.objects_alive os)
                 (Nvmpi_tx.Objstore.log_entries os)
-          | exception Failure msg ->
+          | exception
+              ( Failure msg
+              | Nvmpi_palloc.Palloc.Corrupted msg
+              | Nvmpi_alloc.Freelist.Corrupted msg ) ->
               Printf.printf "    object store: CORRUPT (%s)\n" msg
         end)
       ids

@@ -61,7 +61,9 @@ let part1_tx_recovery () =
         (rid, Bytes.length img, img))
       (Tracker.tracked tracker)
   in
-  let m2, regions = Recovery.boot ~seed:2 images in
+  let m2, regions =
+    Recovery.boot ~seed:2 ~durability:m1.Machine.durability images
+  in
   let r2 = List.assoc rid regions in
   Printf.printf "  region remapped: 0x%x -> 0x%x\n"
     (Region.base r1 :> int)

@@ -66,18 +66,16 @@ let hash t ~key =
   let h = key * 0x2545F4914F6CDD1 in
   (h lxor (h lsr 31)) land max_int mod t.buckets
 
-(* The default follows the machine's durability discipline: the
-   snapshot disciplines flip every store to the plain path. *)
-let default_write_path os =
+(* The write path is the machine's durability discipline: the snapshot
+   disciplines take every store down the plain path. *)
+let write_path_of os =
   if Core.Durability.is_snapshot (Objstore.machine os).Machine.durability
   then `Plain
   else `Tx
 
-let create os ~repr ~name ?(buckets = 256) ?write_path () =
+let create os ~repr ~name ?(buckets = 256) () =
   if buckets <= 0 then invalid_arg "Kvstore.create: buckets";
-  let write_path =
-    match write_path with Some w -> w | None -> default_write_path os
-  in
+  let write_path = write_path_of os in
   let machine = Objstore.machine os in
   let region = Objstore.region os in
   let meta = Objstore.alloc os ~tag:kind_tag ~size:32 () in
@@ -96,10 +94,8 @@ let create os ~repr ~name ?(buckets = 256) ?write_path () =
   Region.set_root region ~tag:kind_tag name meta;
   t
 
-let attach ?write_path os ~repr ~name =
-  let write_path =
-    match write_path with Some w -> w | None -> default_write_path os
-  in
+let attach os ~repr ~name =
+  let write_path = write_path_of os in
   let machine = Objstore.machine os in
   let region = Objstore.region os in
   match Region.root region name with

@@ -7,19 +7,19 @@
     representation; values are variable-length byte objects
     ([length | bytes]) in the same object store.
 
-    Two write paths ({!write_path}):
-    - [`Tx] (the default): updates run inside undo-logged
+    Two write paths ({!write_path}), picked by the object store's
+    machine's discipline:
+    - [`Tx] (eager and traverse machines): updates run inside undo-logged
       transactions, so a crash mid-[put]/[delete] rolls back to the
       previous state on the next {!attach}; replaced values are
       reclaimed only after commit (a crash can leak an object but
       never corrupt the index — the usual deferred-reclamation
       trade-off).
-    - [`Plain] (snapshot durability, docs/SNAPSHOT.md): every store is
+    - [`Plain] (machines under a snapshot discipline,
+      {!Core.Durability.is_snapshot}; docs/SNAPSHOT.md): every store is
       un-instrumented — no undo logging, no flush, no fence — and the
       caller makes whole epochs durable with
-      {!Nvmpi_snapshot.Snapshot.sync}. The default flips to [`Plain]
-      when the object store's machine runs a snapshot discipline
-      ({!Core.Durability.is_snapshot}).
+      {!Nvmpi_snapshot.Snapshot.sync}.
 
     The whole store is anchored at a named NVRoot and survives region
     remaps. *)
@@ -28,13 +28,11 @@ type t
 
 val create :
   Nvmpi_tx.Objstore.t -> repr:Core.Repr.kind -> name:string ->
-  ?buckets:int -> ?write_path:[ `Tx | `Plain ] -> unit -> t
+  ?buckets:int -> unit -> t
 (** Formats a fresh store (default 256 buckets) in the object store's
     region. *)
 
-val attach :
-  ?write_path:[ `Tx | `Plain ] -> Nvmpi_tx.Objstore.t ->
-  repr:Core.Repr.kind -> name:string -> t
+val attach : Nvmpi_tx.Objstore.t -> repr:Core.Repr.kind -> name:string -> t
 (** Re-opens a store (possibly after a remap/crash).
     @raise Failure if the root is missing or of the wrong kind. *)
 

@@ -7,11 +7,13 @@
       representations (docs/DURABLE.md).
     - [Snapshot_line] / [Snapshot_page]: failure-atomic sync epochs at
       line or page granularity (docs/SNAPSHOT.md); structure code runs
-      eager and the kvstore takes the plain write path.
+      eager, the kvstore takes the plain write path and object stores
+      the flush-free freelist heap.
 
-    Components that depend on the discipline ([Node.make],
-    [Kvstore.create]/[attach], [Residency.provision], [Snapshot.create])
-    read it from the machine they are given, so two machines in one
+    This is the one durability switch: the components that depend on it
+    ([Node.make], [Kvstore.create]/[attach], [Objstore.create],
+    [Snapshot.create]) read it from the machine they are given and take
+    no argument that could contradict it, so two machines in one
     process never influence each other. *)
 
 type t = Eager | Traverse | Snapshot_line | Snapshot_page
@@ -28,7 +30,7 @@ let to_string = function
 let of_string s = List.find_opt (fun d -> to_string d = s) all
 
 (* Whether the discipline moves durability to explicit sync epochs: the
-   kvstore then takes the plain write path and tenant stores the
+   kvstore then takes the plain write path and object stores the
    flush-free freelist heap. *)
 let is_snapshot = function
   | Snapshot_line | Snapshot_page -> true

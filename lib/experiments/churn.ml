@@ -1,8 +1,6 @@
-module Machine = Core.Machine
 module Repr = Core.Repr
 module Metrics = Nvmpi_obs.Metrics
 module Json = Nvmpi_obs.Json
-module Store = Nvmpi_nvregion.Store
 module Objstore = Nvmpi_tx.Objstore
 module Kvstore = Nvmpi_apps.Kvstore
 module Zipf = Nvmpi_server.Zipf
@@ -18,7 +16,10 @@ module Zipf = Nvmpi_server.Zipf
    This experiment is additive: it never appears in the committed bench
    baseline (check only re-runs experiments its snapshot records), and
    it is the one Suite entry that runs the object store on the palloc
-   backend — the pinned figures stay on the freelist. *)
+   backend — the pinned figures stay on the freelist. It fixes its own
+   discipline, eager: palloc under the plain snapshot write path is not
+   crash safe (docs/SNAPSHOT.md), and under traverse nothing it runs
+   would change. *)
 
 let keys = 64
 let theta = 0.9
@@ -41,45 +42,41 @@ let value_for ~key ~op ~len =
   let n = String.length base in
   if n >= len then String.sub base 0 len else base ^ String.make (len - n) 'x'
 
-let run_repr ~ops ~seed ?durability repr =
-  let store = Store.create () in
+let run_repr ~ops ~seed repr =
   (* Same placement seed for every representation: identical region
      draws, identical request stream — apples-to-apples. *)
-  let machine = Machine.create ~seed ?durability ~store () in
-  let rid = Machine.create_region machine ~size:(1 lsl 20) in
-  let region = Machine.open_region machine rid in
-  if repr = Repr.Based then Machine.set_based_region machine rid;
+  let machine, region =
+    Runner.boot ~seed ~durability:Core.Durability.Eager ~size:(1 lsl 20) repr
+  in
   let os = Objstore.create machine region () in
   let kv = Kvstore.create os ~repr ~name:"churn" ~buckets:64 () in
   for key = 1 to keys do
     Kvstore.put kv ~key (value_for ~key ~op:0 ~len:24)
   done;
-  let metrics = Machine.metrics machine in
-  let before = Metrics.snapshot metrics in
-  let c0 = Machine.cycles machine in
   let rng = Random.State.make [| seed; 0xC4A9 |] in
   let z = Zipf.v ~n:keys ~theta in
-  for op = 1 to ops do
-    let key = 1 + Zipf.next z rng in
-    if op mod delete_every = 0 then ignore (Kvstore.delete kv ~key)
-    else
-      let len = value_sizes.(op mod Array.length value_sizes) in
-      Kvstore.put kv ~key (value_for ~key ~op ~len)
-  done;
-  let cycles = Machine.cycles machine - c0 in
-  let counters = Metrics.diff ~before ~after:(Metrics.snapshot metrics) in
+  let (), cycles, counters =
+    Runner.measure machine (fun () ->
+        for op = 1 to ops do
+          let key = 1 + Zipf.next z rng in
+          if op mod delete_every = 0 then ignore (Kvstore.delete kv ~key)
+          else
+            let len = value_sizes.(op mod Array.length value_sizes) in
+            Kvstore.put kv ~key (value_for ~key ~op ~len)
+        done)
+  in
   (* The heap must still be coherent after the storm. *)
   Objstore.heap_check os;
   (cycles, counters)
 
-let table ?(scale = 1.0) ?seed ?durability () =
+let table ?(scale = 1.0) ?seed () =
   let seed = Option.value seed ~default:11 in
   let ops = scaled scale 4000 in
   let rows, records =
     List.split
       (List.map
          (fun repr ->
-           let cycles, counters = run_repr ~ops ~seed ?durability repr in
+           let cycles, counters = run_repr ~ops ~seed repr in
            let col name =
              string_of_int (Option.value ~default:0 (List.assoc_opt name counters))
            in

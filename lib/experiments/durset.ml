@@ -2,7 +2,7 @@ module Machine = Core.Machine
 module Repr = Core.Repr
 module Metrics = Nvmpi_obs.Metrics
 module Json = Nvmpi_obs.Json
-module Store = Nvmpi_nvregion.Store
+module Durability = Core.Durability
 module Layout = Nvmpi_addr.Layout
 module Memsim = Nvmpi_memsim.Memsim
 module Timing = Nvmpi_cachesim.Timing
@@ -36,20 +36,11 @@ let line_bytes = 64
 
 let structures = [ Instance.Hashset; Instance.Btree ]
 
-
-let counter_cols = [ "timing.flushes"; "timing.fences" ]
-
 let scaled scale n = max 300 (int_of_float (float_of_int n *. scale))
 
 let run_one ~ops ~seed structure repr ~durability =
-  let store = Store.create () in
-  let machine = Machine.create ~seed ~store () in
-  let rid = Machine.create_region machine ~size:(1 lsl 21) in
-  let region = Machine.open_region machine rid in
-  if repr = Repr.Based then Machine.set_based_region machine rid;
-  let node =
-    Node.make ~durability machine ~mode:(Node.Plain [| region |]) ~payload:32
-  in
+  let machine, region = Runner.boot ~seed ~durability ~size:(1 lsl 21) repr in
+  let node = Node.make machine ~mode:(Node.Plain [| region |]) ~payload:32 in
   let inst = Instance.create structure repr node ~name:"durset" in
   (* Eager-baseline plumbing: record each op's touched NVM lines in
      first-touch order (deterministic), then flush them + fence at the
@@ -60,7 +51,8 @@ let run_one ~ops ~seed structure repr ~durability =
   let seen = Hashtbl.create 64 in
   let recording = ref false in
   let layout = machine.Machine.layout in
-  if durability = Durable.Eager then
+  let eager = durability = Durability.Eager in
+  if eager then
     Memsim.add_observer machine.Machine.mem (fun ~write:_ ~addr ~size:_ ->
         if !recording && Layout.in_nv_space layout addr then begin
           let l = addr land lnot (line_bytes - 1) in
@@ -80,24 +72,21 @@ let run_one ~ops ~seed structure repr ~durability =
   for k = 1 to keys do
     inst.Instance.insert k
   done;
-  let eager = durability = Durable.Eager in
   let rng = Random.State.make [| seed; 0xD5E7 |] in
   let z = Zipf.v ~n:keys ~theta in
-  let metrics = Machine.metrics machine in
-  let before = Metrics.snapshot metrics in
-  let c0 = Machine.cycles machine in
-  recording := true;
-  for op = 1 to ops do
-    let key = 1 + Zipf.next z rng in
-    let r = Random.State.int rng 100 in
-    if r < read_pct then ignore (inst.Instance.search key)
-    else if r mod 2 = 0 then inst.Instance.insert (keys + op)
-    else ignore (inst.Instance.remove key);
-    if eager then flush_touched ()
-  done;
-  recording := false;
-  let cycles = Machine.cycles machine - c0 in
-  let counters = Metrics.diff ~before ~after:(Metrics.snapshot metrics) in
+  let (), cycles, counters =
+    Runner.measure machine (fun () ->
+        recording := true;
+        for op = 1 to ops do
+          let key = 1 + Zipf.next z rng in
+          let r = Random.State.int rng 100 in
+          if r < read_pct then ignore (inst.Instance.search key)
+          else if r mod 2 = 0 then inst.Instance.insert (keys + op)
+          else ignore (inst.Instance.remove key);
+          if eager then flush_touched ()
+        done;
+        recording := false)
+  in
   (cycles, counters)
 
 let counter name counters =
@@ -114,10 +103,10 @@ type pair = {
 
 let run_pair ~ops ~seed structure repr =
   let eager_cycles, eager_counters =
-    run_one ~ops ~seed structure repr ~durability:Durable.Eager
+    run_one ~ops ~seed structure repr ~durability:Durability.Eager
   in
   let traverse_cycles, traverse_counters =
-    run_one ~ops ~seed structure repr ~durability:Durable.Traverse
+    run_one ~ops ~seed structure repr ~durability:Durability.Traverse
   in
   { eager_cycles; traverse_cycles; eager_counters; traverse_counters }
 

@@ -1,8 +1,6 @@
 module Repr = Core.Repr
 module Clock = Nvmpi_cachesim.Clock
 module Machine = Core.Machine
-module Region = Nvmpi_nvregion.Region
-module Store = Nvmpi_nvregion.Store
 module Node = Nvmpi_structures.Node
 module Wordcount = Nvmpi_apps.Wordcount
 module Text_gen = Nvmpi_apps.Text_gen
@@ -449,25 +447,15 @@ let fig15_paper_vs_fat = function
   | Repr.Riv -> Some 0.67
   | _ -> None
 
-let wordcount_run ?(seed = 7) ?durability ~repr ~nwords ~vocab () =
-  let store = Store.create () in
-  let machine = Machine.create ~seed ?durability ~store () in
+let wordcount_run ?(seed = 7) ?(durability = Core.Durability.Eager) ~repr
+    ~nwords ~vocab () =
   let slot = Repr.slot_size repr in
   let size = (vocab * ((2 * slot) + 8 + 32 + 64) * 2) + (1 lsl 20) in
-  let r = Machine.open_region machine (Machine.create_region machine ~size) in
-  if repr = Repr.Based then Machine.set_based_region machine (Region.rid r);
+  let machine, r = Runner.boot ~seed ~durability ~size repr in
   let node = Node.make machine ~mode:(Node.Plain [| r |]) ~payload:32 in
   let stream = Text_gen.words ~n:nwords ~vocab ~seed:11 in
-  let before = Core.Metrics.snapshot (Machine.metrics machine) in
-  let result, cycles =
-    Clock.delta machine.Machine.clock (fun () ->
-        Wordcount.count_words node ~repr ~name:"wordcount" stream)
-  in
-  let counters =
-    Core.Metrics.diff ~before
-      ~after:(Core.Metrics.snapshot (Machine.metrics machine))
-  in
-  (result, cycles, counters)
+  Runner.measure machine (fun () ->
+      Wordcount.count_words node ~repr ~name:"wordcount" stream)
 
 let fig15 ?(scale = 1.0) ?seed ?durability ?(full = false) () =
   let sizes =

@@ -134,6 +134,19 @@ let setup cfg =
   let node = Node.make machine ~mode ~payload:cfg.payload in
   (machine, node)
 
+let boot ~seed ~durability ~size repr =
+  let machine = Machine.create ~seed ~durability ~store:(Store.create ()) () in
+  let rid = Machine.create_region machine ~size in
+  let region = Machine.open_region machine rid in
+  if repr = Repr.Based then Machine.set_based_region machine rid;
+  (machine, region)
+
+let measure machine f =
+  let metrics = Machine.metrics machine in
+  let before = Core.Metrics.snapshot metrics in
+  let result, cycles = Clock.delta machine.Machine.clock f in
+  (result, cycles, Core.Metrics.diff ~before ~after:(Core.Metrics.snapshot metrics))
+
 let run cfg =
   let machine, node = setup cfg in
   let inst = Instance.create cfg.structure cfg.repr node ~name:"bench" in
@@ -151,9 +164,8 @@ let run cfg =
   if cfg.cold then
     Nvmpi_cachesim.Timing.invalidate_caches machine.Machine.timing;
   let nodes = ref 0 and checksum = ref 0 and found = ref 0 in
-  let before = Core.Metrics.snapshot (Machine.metrics machine) in
-  let (), measured_cycles =
-    Clock.delta clock (fun () ->
+  let (), measured_cycles, counters =
+    measure machine (fun () ->
         if cfg.repr = Repr.Swizzle then inst.Instance.swizzle ();
         for _ = 1 to cfg.traversals do
           let n, sum = inst.Instance.traverse () in
@@ -164,10 +176,6 @@ let run cfg =
           (fun k -> if inst.Instance.search k then incr found)
           searches;
         if cfg.repr = Repr.Swizzle then inst.Instance.unswizzle ())
-  in
-  let counters =
-    Core.Metrics.diff ~before
-      ~after:(Core.Metrics.snapshot (Machine.metrics machine))
   in
   if cfg.searches > 0 && !found <> cfg.searches then
     failwith "Runner.run: a search for an inserted key failed";

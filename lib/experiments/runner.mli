@@ -62,5 +62,19 @@ val slowdown : config -> measurement * float
     traversal checksums disagree (which would mean a representation
     corrupted the structure). *)
 
+val boot :
+  seed:int -> durability:Core.Durability.t -> size:int -> Core.Repr.kind ->
+  Core.Machine.t * Nvmpi_nvregion.Region.t
+(** A fresh machine under [durability] over a fresh store, with one
+    open region of [size] bytes, the base register pointed at it for
+    the based representation — the rig of the experiments that build
+    their own machines (churn, durset, snapshot, wordcount). *)
+
+val measure :
+  Core.Machine.t -> (unit -> 'a) -> 'a * int * (string * int) list
+(** [measure machine f] runs [f] and returns its result, the simulated
+    cycles it took and the machine's metric deltas over it
+    ({!Core.Metrics.diff}). *)
+
 val applicable : Core.Repr.kind -> regions:int -> bool
 (** Whether a representation supports the given region count. *)

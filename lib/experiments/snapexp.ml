@@ -2,14 +2,12 @@ module Machine = Core.Machine
 module Repr = Core.Repr
 module Metrics = Nvmpi_obs.Metrics
 module Json = Nvmpi_obs.Json
-module Store = Nvmpi_nvregion.Store
 module Region = Nvmpi_nvregion.Region
 module Layout = Nvmpi_addr.Layout
 module Memsim = Nvmpi_memsim.Memsim
 module Timing = Nvmpi_cachesim.Timing
 module Vaddr = Nvmpi_addr.Kinds.Vaddr
 module Node = Nvmpi_structures.Node
-module Durable = Nvmpi_structures.Durable
 module Objstore = Nvmpi_tx.Objstore
 module Kvstore = Nvmpi_apps.Kvstore
 module Snapshot = Nvmpi_snapshot.Snapshot
@@ -60,13 +58,19 @@ let scaled scale n = max 120 (int_of_float (float_of_int n *. scale))
 let counter name counters =
   Option.value ~default:0 (List.assoc_opt name counters)
 
-let boot ~seed repr =
-  let store = Store.create () in
-  let machine = Machine.create ~seed ~store () in
-  let rid = Machine.create_region machine ~size:(1 lsl 21) in
-  let region = Machine.open_region machine rid in
-  if repr = Repr.Based then Machine.set_based_region machine rid;
-  (machine, region)
+(* Each arm's machine runs that arm's discipline, which picks the
+   snapshot granularity, and for the kvstore rows the heap and write
+   path: palloc and undo-logged transactions under [undo] (palloc's op
+   log is part of the discipline being measured), the flush-free
+   freelist and plain stores under the snapshot arms, so nothing but
+   sync touches durability. *)
+let boot ~seed repr arm =
+  let durability =
+    match arm with
+    | Undo -> Core.Durability.Eager
+    | Snap g -> Snapshot.discipline g
+  in
+  Runner.boot ~seed ~durability ~size:(1 lsl 21) repr
 
 (* Emulated undo-log discipline for the structure rows: old-image
    records ([8-byte header | 64-byte line image]) appended through the
@@ -127,11 +131,8 @@ let undo_logger machine region =
   (recording, op_boundary)
 
 let run_structure ~ops ~seed structure repr arm =
-  let machine, region = boot ~seed repr in
-  let node =
-    Node.make ~durability:Durable.Eager machine
-      ~mode:(Node.Plain [| region |]) ~payload:32
-  in
+  let machine, region = boot ~seed repr arm in
+  let node = Node.make machine ~mode:(Node.Plain [| region |]) ~payload:32 in
   let inst = Instance.create structure repr node ~name:"snapexp" in
   let per_op =
     match arm with
@@ -141,8 +142,8 @@ let run_structure ~ops ~seed structure repr arm =
           recording := true;
           f ();
           op_boundary ()
-    | Snap granularity ->
-        let snap = Snapshot.create machine region ~granularity () in
+    | Snap _ ->
+        let snap = Snapshot.create machine region () in
         fun f ->
           f ();
           Snapshot.sync snap
@@ -158,55 +159,45 @@ let run_structure ~ops ~seed structure repr arm =
       per_op (fun () -> ()));
   let rng = Random.State.make [| seed; 0x5A9E |] in
   let z = Zipf.v ~n:keys ~theta in
-  let metrics = Machine.metrics machine in
-  let before = Metrics.snapshot metrics in
-  let c0 = Machine.cycles machine in
-  for op = 1 to ops do
-    let key = 1 + Zipf.next z rng in
-    let r = Random.State.int rng 100 in
-    per_op (fun () ->
-        if r < 50 then ignore (inst.Instance.search key)
-        else if r mod 2 = 0 then inst.Instance.insert (keys + op)
-        else ignore (inst.Instance.remove key))
-  done;
-  let cycles = Machine.cycles machine - c0 in
-  let counters = Metrics.diff ~before ~after:(Metrics.snapshot metrics) in
+  let (), cycles, counters =
+    Runner.measure machine (fun () ->
+        for op = 1 to ops do
+          let key = 1 + Zipf.next z rng in
+          let r = Random.State.int rng 100 in
+          per_op (fun () ->
+              if r < 50 then ignore (inst.Instance.search key)
+              else if r mod 2 = 0 then inst.Instance.insert (keys + op)
+              else ignore (inst.Instance.remove key))
+        done)
+  in
   (cycles, counters)
 
 let run_kv ~ops ~seed repr arm =
-  let machine, region = boot ~seed repr in
+  let machine, region = boot ~seed repr arm in
   let snap =
     match arm with
     | Undo -> None
-    | Snap granularity -> Some (Snapshot.create machine region ~granularity ())
+    | Snap _ -> Some (Snapshot.create machine region ())
   in
-  (* The undo arm keeps the default palloc heap (its op log is part of
-     the discipline being measured); the snapshot arms pin the
-     flush-free freelist so nothing but sync touches durability. *)
-  let heap, write_path =
-    match arm with Undo -> (`Palloc, `Tx) | Snap _ -> (`Freelist, `Plain)
-  in
-  let os = Objstore.create machine region ~heap () in
-  let kv = Kvstore.create os ~repr ~name:"kv" ~buckets:32 ~write_path () in
+  let os = Objstore.create machine region () in
+  let kv = Kvstore.create os ~repr ~name:"kv" ~buckets:32 () in
   for k = 1 to keys do
     Kvstore.put kv ~key:k (Printf.sprintf "v0-%04d" k)
   done;
   Option.iter Snapshot.sync snap;
   let rng = Random.State.make [| seed; 0x5A9F |] in
   let z = Zipf.v ~n:keys ~theta in
-  let metrics = Machine.metrics machine in
-  let before = Metrics.snapshot metrics in
-  let c0 = Machine.cycles machine in
-  for op = 1 to ops do
-    let key = 1 + Zipf.next z rng in
-    let r = Random.State.int rng 100 in
-    if r < 30 then ignore (Kvstore.get kv ~key)
-    else if r mod 5 = 0 then ignore (Kvstore.delete kv ~key)
-    else Kvstore.put kv ~key (Printf.sprintf "v%d-%04d" op key);
-    Option.iter Snapshot.sync snap
-  done;
-  let cycles = Machine.cycles machine - c0 in
-  let counters = Metrics.diff ~before ~after:(Metrics.snapshot metrics) in
+  let (), cycles, counters =
+    Runner.measure machine (fun () ->
+        for op = 1 to ops do
+          let key = 1 + Zipf.next z rng in
+          let r = Random.State.int rng 100 in
+          if r < 30 then ignore (Kvstore.get kv ~key)
+          else if r mod 5 = 0 then ignore (Kvstore.delete kv ~key)
+          else Kvstore.put kv ~key (Printf.sprintf "v%d-%04d" op key);
+          Option.iter Snapshot.sync snap
+        done)
+  in
   (cycles, counters)
 
 let arms = [ Undo; Snap Snapshot.Line; Snap Snapshot.Page ]

@@ -32,8 +32,8 @@ let experiments =
     ( "ablations",
       fun p durability ->
         Ablations.all ~scale:p.scale ?seed:p.seed ~durability () );
-    ("churn", one Churn.table);
-    (* These two choose every machine's discipline themselves. *)
+    (* These three choose every machine's discipline themselves. *)
+    ("churn", fun p _ -> [ Churn.table ~scale:p.scale ?seed:p.seed () ]);
     ("durset", fun p _ -> [ Durset.table ~scale:p.scale ?seed:p.seed () ]);
     ("snapshot", fun p _ -> [ Snapexp.table ~scale:p.scale ?seed:p.seed () ]);
   ]

@@ -14,9 +14,9 @@ let store_of_images images =
     images;
   store
 
-let boot ?metrics ~seed images =
+let boot ?metrics ~seed ~durability images =
   let store = store_of_images images in
-  let machine = Machine.create ?metrics ~seed ~store () in
+  let machine = Machine.create ?metrics ~seed ~durability ~store () in
   let regions =
     List.map (fun (rid, _, _) -> (rid, Machine.open_region machine rid)) images
   in

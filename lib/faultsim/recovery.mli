@@ -14,8 +14,10 @@ val store_of_images :
 val boot :
   ?metrics:Nvmpi_obs.Metrics.t ->
   seed:int ->
+  durability:Core.Durability.t ->
   (Nvmpi_addr.Kinds.Rid.t * int * Bytes.t) list ->
   Core.Machine.t * (Nvmpi_addr.Kinds.Rid.t * Nvmpi_nvregion.Region.t) list
-(** Builds the store, creates a machine over it and opens every region
+(** Builds the store, creates a machine over it under [durability] (the
+    crashed machine's discipline) and opens every region
     (validating region headers — a corrupted durable header surfaces
     here as [Failure]). *)

@@ -7,7 +7,6 @@ module Metrics = Nvmpi_obs.Metrics
 module Rid = Nvmpi_addr.Kinds.Rid
 module Vaddr = Nvmpi_addr.Kinds.Vaddr
 module Node = Nvmpi_structures.Node
-module Durable = Nvmpi_structures.Durable
 module Instance = Nvmpi_experiments.Instance
 module Workload = Nvmpi_experiments.Workload
 module Palloc = Nvmpi_palloc.Palloc
@@ -40,21 +39,28 @@ let ( let* ) = Result.bind
 (* {1 The scaffold}
 
    Every scenario is one row: a name, [expect_fail], the representation
-   whose base register ([Repr.Based]) must point at the region, a
-   pre-arm [setup], the tracked [workload] and an [oracle]. The scaffold
-   owns everything else: it boots a machine with one region, runs
-   [setup] on it, attaches and arms the tracker (whatever [setup] left
-   in the region is the durable base image), runs [workload], and hands
-   [oracle] each recovery machine with the region found again. *)
+   whose base register ([Repr.Based]) must point at the region, the
+   machine's durability discipline (eager by default), a pre-arm
+   [setup], the tracked [workload] and an [oracle]. The scaffold owns
+   everything else: it boots a machine under the discipline with one
+   region, runs [setup] on it, attaches and arms the tracker (whatever
+   [setup] left in the region is the durable base image), runs
+   [workload], and hands [oracle] each recovery machine — booted under
+   the same discipline — with the region found again. The discipline
+   picks structure links, the kvstore write path, the object-store heap
+   and the snapshot granularity on both machines. *)
 
 type env = { seed : int; machine : Machine.t; region : Region.t }
 
-let scenario ?(expect_fail = false) ?repr name ~setup ~workload ~oracle =
+let scenario ?(expect_fail = false) ?repr ?durability name ~setup ~workload
+    ~oracle =
   let based machine rid =
     if repr = Some Repr.Based then Machine.set_based_region machine rid
   in
   let run ~metrics ~seed =
-    let machine = Machine.create ~metrics ~seed ~store:(Store.create ()) () in
+    let machine =
+      Machine.create ~metrics ~seed ?durability ~store:(Store.create ()) ()
+    in
     let rid = Machine.create_region machine ~size:region_size in
     let region = Machine.open_region machine rid in
     based machine rid;
@@ -286,8 +292,8 @@ let describe_map m =
   ^ "}"
 
 (* A fresh store holding keys 1..3, with that state as the model. *)
-let kv_create ?write_path os ~repr =
-  let kv = Kvstore.create os ~repr ~name:"kv" ~buckets:8 ?write_path () in
+let kv_create os ~repr =
+  let kv = Kvstore.create os ~repr ~name:"kv" ~buckets:8 () in
   let model = ref [] in
   for k = 1 to 3 do
     let v = Printf.sprintf "init-%d" k in
@@ -296,8 +302,8 @@ let kv_create ?write_path os ~repr =
   done;
   (kv, model)
 
-let kv_recovered ~what ?write_path ~repr os' (initial, log) ~seq =
-  let kv' = Kvstore.attach ?write_path os' ~repr ~name:"kv" in
+let kv_recovered ~what ~repr os' (initial, log) ~seq =
+  let kv' = Kvstore.attach os' ~repr ~name:"kv" in
   let actual =
     List.filter_map
       (fun k -> Option.map (fun v -> (k, v)) (Kvstore.get kv' ~key:k))
@@ -531,17 +537,17 @@ let alloc_leak_selftest () =
 
 (* {1 Durable sets (link-and-persist)}
 
-   Hashset/bstree under [Durable.Traverse] (docs/DURABLE.md): traversals
+   Hashset/bstree on traverse machines (docs/DURABLE.md): traversals
    flush nothing, each insert/remove persists exactly one modification
    window (fresh-node lines + one marked link flush + fence). The oracle
    at every crash point: the recovered set equals the durable commit
    prefix of the op log, except the single in-flight op may be either
    fully applied or fully absent — never torn. Count, checksum and
-   per-key membership are all probed through a traverse-mode attach, so
-   recovery also exercises the marked-link repair path (the final
-   mark-clearing store is deliberately never flushed). Fat/Fat_cached
-   keep the eager discipline and are covered by the plain-mode
-   structure scenarios above. *)
+   per-key membership are all probed through an attach on the traverse
+   recovery machine, so recovery also exercises the marked-link repair
+   path (the final mark-clearing store is deliberately never flushed).
+   Fat/Fat_cached keep the eager discipline and are covered by the
+   plain-mode structure scenarios above. *)
 
 let durable_scenario ?(ops = 14) ?(drop_flushes = false) structure repr =
   let name =
@@ -554,8 +560,7 @@ let durable_scenario ?(ops = 14) ?(drop_flushes = false) structure repr =
   in
   let root = "durset" in
   let node machine region =
-    Node.make ~durability:Durable.Traverse machine
-      ~mode:(Node.Plain [| region |]) ~payload
+    Node.make machine ~mode:(Node.Plain [| region |]) ~payload
   in
   let apply (k, insert) set =
     (if insert then IntSet.add else IntSet.remove) k set
@@ -570,6 +575,7 @@ let durable_scenario ?(ops = 14) ?(drop_flushes = false) structure repr =
     "{" ^ String.concat ";" (List.map string_of_int (IntSet.elements set)) ^ "}"
   in
   scenario name ~expect_fail:drop_flushes ~repr
+    ~durability:Core.Durability.Traverse
     ~setup:(fun { seed; machine; region } ->
       let inst =
         Instance.create structure repr (node machine region) ~name:root
@@ -655,6 +661,7 @@ let snapshot_cells_scenario ?(epochs = 5) ?(cells = 16)
   let stride = 520 in
   let initial = Array.init cells (fun i -> 1000 + i) in
   scenario name ~expect_fail:skip_writeback
+    ~durability:(Snapshot.discipline granularity)
     ~setup:(fun { machine; region; _ } ->
       let block = Region.alloc region (cells * stride) in
       Region.set_root region "snapcells" block;
@@ -662,7 +669,7 @@ let snapshot_cells_scenario ?(epochs = 5) ?(cells = 16)
         Memsim.store64 machine.Machine.mem (Vaddr.add block (i * stride)) v
       in
       Array.iteri store initial;
-      let snap = Snapshot.create machine region ~granularity () in
+      let snap = Snapshot.create machine region () in
       Snapshot.sync snap;
       (snap, store))
     ~workload:(fun tracker (snap, store) ->
@@ -702,25 +709,21 @@ let snapshot_cells_scenario ?(epochs = 5) ?(cells = 16)
       linearizable ~what:"epoch torn or lost" ~show:show_cells ~seq ~initial
         ~apply:installs log actual)
 
-(* Kvstore over the plain (snapshot) write path: batches of
-   un-instrumented puts/deletes on a freelist-heap object store, each
-   batch closed by a sync. The oracle is read-your-writes at epoch
+(* Kvstore on a snapshot machine, so over the plain write path and the
+   flush-free freelist heap: batches of un-instrumented puts/deletes,
+   each batch closed by a sync. The oracle is read-your-writes at epoch
    granularity — the whole batch (index, values, allocator words)
    appears atomically or not at all. *)
 let snapshot_kv_scenario ?(epochs = 5) ?(granularity = Snapshot.Line) repr =
   scenario
     (Printf.sprintf "snapshot-kv/%s/%s" (Repr.to_string repr)
        (Snapshot.granularity_to_string granularity))
-    ~repr
+    ~repr ~durability:(Snapshot.discipline granularity)
     ~setup:(fun { machine; region; _ } ->
-      (* The flush-free freelist heap: under snapshot durability nothing
-         but sync may move the durable cut (palloc's logged allocations
-         would persist allocator state mid-epoch, docs/SNAPSHOT.md).
-         The snapshot's meta/log pages must be carved out before the
+      (* The snapshot's meta/log pages must be carved out before the
          object store claims the whole remaining region as its heap. *)
-      let snap = Snapshot.create machine region ~granularity () in
-      let os = Objstore.create machine region ~heap:`Freelist () in
-      let kv, model = kv_create os ~repr ~write_path:`Plain in
+      let snap = Snapshot.create machine region () in
+      let kv, model = kv_create (Objstore.create machine region ()) ~repr in
       Snapshot.sync snap;
       (snap, kv, model))
     ~workload:(fun tracker (snap, kv, model) ->
@@ -747,7 +750,7 @@ let snapshot_kv_scenario ?(epochs = 5) ?(granularity = Snapshot.Line) repr =
       (* Replay first: the object store's metadata and heap words are
          themselves part of the epoch being reinstalled. *)
       let* () = snapshot_drained machine' region' in
-      kv_recovered ~what:"epoch read-your-writes" ~write_path:`Plain ~repr
+      kv_recovered ~what:"epoch read-your-writes" ~repr
         (Objstore.attach machine' region')
         history ~seq)
 
@@ -760,7 +763,7 @@ let defaults () =
     Instance.structures
   @ List.map kv_scenario [ Repr.Off_holder; Repr.Riv; Repr.Fat_cached ]
   @ List.concat_map
-      (fun s -> List.map (durable_scenario s) Durable.reprs)
+      (fun s -> List.map (durable_scenario s) Nvmpi_structures.Durable.reprs)
       Nvmpi_experiments.Durset.structures
   @ [
       tx_cells_scenario ();

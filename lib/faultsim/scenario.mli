@@ -10,10 +10,11 @@
     returns [Ok ()] or [Error reason].
 
     Every scenario is built by one internal scaffold from a row — name,
-    [expect_fail], representation, pre-arm setup, workload, oracle —
-    which owns the boot, the [Based] base register on the workload and
-    recovery machines, the tracker, and finding the region again on
-    recovery (docs/FAULTSIM.md, "Adding a scenario").
+    [expect_fail], representation, durability discipline, pre-arm
+    setup, workload, oracle — which owns the boot, the discipline and
+    the [Based] base register on the workload and recovery machines,
+    the tracker, and finding the region again on recovery
+    (docs/FAULTSIM.md, "Adding a scenario").
 
     [expect_fail] marks self-test doubles (e.g. a fence-dropping
     checkpoint): the sweep inverts the verdict — such a scenario passes
@@ -83,11 +84,12 @@ val durable_scenario :
   Nvmpi_experiments.Instance.structure ->
   Core.Repr.kind ->
   t
-(** Insert/remove churn on a hashset or bstree under
-    [Durable.Traverse] (docs/DURABLE.md). Oracle at every crash point:
-    the recovered set equals the durable commit prefix of the op log
-    (count, checksum and per-key membership, probed through a
-    traverse-mode attach so marked-link repair is exercised), with the
+(** Insert/remove churn on a hashset or bstree on a machine created
+    with {!Core.Durability.Traverse}, so its links link-and-persist
+    (docs/DURABLE.md). Oracle at every crash point: the recovered set
+    equals the durable commit prefix of the op log (count, checksum and
+    per-key membership, probed through an attach on the traverse
+    recovery machine so marked-link repair is exercised), with the
     single in-flight op either fully applied or fully absent.
     [~drop_flushes:true] is the selftest double ([expect_fail]): the
     churn runs under {!Tracker.dropping_persists}, so no window
@@ -103,7 +105,8 @@ val snapshot_cells_scenario :
   t
 (** Failure-atomic snapshot epochs (docs/SNAPSHOT.md) over a strided
     cell array: plain un-instrumented stores between [Snapshot.sync]
-    calls. Oracle at every crash point — including mid-log-append,
+    calls, on machines under the snapshot discipline of [granularity]
+    (default [Line]; {!Nvmpi_snapshot.Snapshot.discipline}). Oracle at every crash point — including mid-log-append,
     post-commit pre-writeback, mid-replay (one epoch commits then
     replays explicitly) and pre-truncate: the recovered image, after
     [Snapshot.attach] replays any committed log, equals exactly the
@@ -118,8 +121,10 @@ val snapshot_kv_scenario :
   ?granularity:Nvmpi_snapshot.Snapshot.granularity ->
   Core.Repr.kind ->
   t
-(** Kvstore on the plain (snapshot) write path over a flush-free
-    freelist heap: batches of puts/deletes closed by a sync. Epoch
+(** Kvstore on machines under the snapshot discipline of [granularity]
+    (default [Line]; {!Nvmpi_snapshot.Snapshot.discipline}), which puts
+    it on the plain write path over a flush-free freelist heap:
+    batches of puts/deletes closed by a sync. Epoch
     read-your-writes — every crash point recovers to the whole last
     synced batch (index, values and allocator state together) or, for
     the one in-flight sync, the next batch in full. *)

@@ -55,9 +55,11 @@ let crash_points tracker mode ~seed =
    with respect to shared state: the tracker is disarmed (read-only), the
    cursor replays into images it owns, and every recovery machine gets a
    private metrics registry — which is what lets chunks of points run on
-   separate domains and still merge byte-identically. *)
+   separate domains and still merge byte-identically. Recovery machines
+   run the crashed machine's durability discipline. *)
 let eval_points ~tracker ~verify ~seed points =
   let cursor = Replay.create tracker in
+  let durability = (Tracker.machine tracker).Core.Machine.durability in
   List.map
     (fun p ->
       Replay.advance cursor ~upto:p;
@@ -65,7 +67,8 @@ let eval_points ~tracker ~verify ~seed points =
       let outcome =
         try
           let machine', regions' =
-            Recovery.boot ~seed:recovery_seed (Replay.images cursor)
+            Recovery.boot ~seed:recovery_seed ~durability
+              (Replay.images cursor)
           in
           verify ~seq:p machine' regions'
         with e -> Error ("recovery raised " ^ Printexc.to_string e)

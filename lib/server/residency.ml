@@ -116,16 +116,7 @@ let provision t ~tenant =
   incr t.c_maps;
   incr t.c_creates;
   if t.repr = Repr.Based then Machine.set_based_region t.machine rid;
-  (* On a machine under snapshot durability (docs/SNAPSHOT.md) tenants
-     run the un-instrumented write path: the flush-free freelist heap
-     instead of palloc's logged one, and [Kvstore.create]'s default
-     picks the plain (no undo-log) store path. *)
-  let heap =
-    if Core.Durability.is_snapshot t.machine.Machine.durability then
-      `Freelist
-    else `Palloc
-  in
-  let os = Objstore.create t.machine region ~log_cap:t.log_cap ~heap () in
+  let os = Objstore.create t.machine region ~log_cap:t.log_cap () in
   let kv = Kvstore.create os ~repr:t.repr ~name:"kv" ~buckets:t.buckets () in
   let e = { rid; kv = Some kv; last = 0 } in
   Hashtbl.replace t.tenants tenant e;

@@ -17,6 +17,10 @@ type granularity = Line | Page
 
 let granularity_to_string = function Line -> "line" | Page -> "page"
 
+let discipline = function
+  | Line -> Core.Durability.Snapshot_line
+  | Page -> Core.Durability.Snapshot_page
+
 let magic = 0x534E415053484F54 land ((1 lsl 62) - 1) (* "SNAPSHOT" truncated *)
 let root_name = "__snapshot"
 
@@ -166,14 +170,10 @@ let make machine region ~meta_off ~log_off ~log_cap ~gran =
       observe t ~write ~addr ~size);
   t
 
-let create machine region ?granularity ?(log_cap = 64 * 1024) () =
+let create machine region ?(log_cap = 64 * 1024) () =
   let gran =
-    match granularity with
-    | Some g -> g
-    | None -> (
-        match machine.Machine.durability with
-        | Core.Durability.Snapshot_page -> Page
-        | _ -> Line)
+    if machine.Machine.durability = Core.Durability.Snapshot_page then Page
+    else Line
   in
   let page = Memsim.page_size machine.Machine.mem in
   let log_cap = Bitops.align_up log_cap page in

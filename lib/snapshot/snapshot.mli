@@ -15,6 +15,8 @@
     The tracked granularity selects what gets logged and written back:
     [Line] (64 B units) or [Page] (4 KiB units) — the FAMS
     write-amplification trade-off the [snapshot] experiment measures.
+    It follows the machine's discipline: [Page] on a machine created with
+    {!Core.Durability.Snapshot_page}, [Line] otherwise.
     Both dirty sets are always maintained, so the [snap.dirty_lines] /
     [snap.dirty_pages] counters expose the amplification ratio
     regardless of the granularity in force.
@@ -30,6 +32,9 @@ type granularity = Line | Page
 
 val granularity_to_string : granularity -> string
 
+val discipline : granularity -> Core.Durability.t
+(** The machine discipline whose snapshots track at this granularity. *)
+
 (** {1 Snapshots} *)
 
 type t
@@ -37,15 +42,13 @@ type t
 val create :
   Core.Machine.t ->
   Nvmpi_nvregion.Region.t ->
-  ?granularity:granularity ->
   ?log_cap:int ->
   unit ->
   t
 (** Carves the snapshot metadata page and a write-ahead log of
     [log_cap] bytes (default 64 KiB, rounded up to whole pages) out of
     the region, anchors them at the ["__snapshot"] root, and starts
-    dirty tracking. [granularity] defaults to [Page] on a machine
-    created with {!Core.Durability.Snapshot_page}, [Line] otherwise. *)
+    dirty tracking at the machine's granularity. *)
 
 val attach : Core.Machine.t -> Nvmpi_nvregion.Region.t -> t
 (** Re-opens a snapshot (possibly after a crash or remap): reads the

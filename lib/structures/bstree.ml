@@ -18,11 +18,10 @@ module Make (P : Core.Repr_sig.S) = struct
   let head_holder t = Vaddr.add t.meta Node.head_slot_off
 
   (* Link-and-persist discipline (docs/DURABLE.md): child links and the
-     head link go through [load_link]/[store_link]; under [Eager] both
-     are exactly the legacy plain accesses. *)
+     head link go through [load_link]/[store_link]; off a traverse
+     machine both are exactly the legacy plain accesses. *)
   let durable t =
-    t.node.Node.durability = Durable.Traverse
-    && Durable.applicable ~slot_size:P.slot_size
+    t.node.Node.traverse && Durable.applicable ~slot_size:P.slot_size
 
   let load_link t ~holder =
     if durable t then Durable.check_mark (m t) ~holder;

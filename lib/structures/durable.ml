@@ -18,17 +18,16 @@
    all store multiples of 8 (or 0 for null). The 16-byte fat encodings
    keep region IDs in word 0 and may straddle a cache line, so they are
    out of scope: [applicable] is false and those representations keep
-   the eager discipline regardless of the selected mode.
+   the eager discipline on a traverse machine too.
 
-   The discipline is selected per {!Node.t} (field [durability]), which
-   defaults from the machine's {!Core.Durability.t}. Catalogue of the
-   [dur.*] counters: docs/METRICS.md. *)
+   The discipline is the machine's: structures link-and-persist when
+   their node source's machine was created with
+   {!Core.Durability.Traverse} ({!Node.t}'s [traverse] field). Catalogue
+   of the [dur.*] counters: docs/METRICS.md. *)
 
 module Machine = Core.Machine
 module Timing = Nvmpi_cachesim.Timing
 module Vaddr = Nvmpi_addr.Kinds.Vaddr
-
-type mode = Eager | Traverse
 
 (* The mark bit only fits single-word slots; see the header comment. *)
 let applicable ~slot_size = slot_size = 8

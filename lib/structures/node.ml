@@ -10,22 +10,17 @@ type t = {
   machine : Machine.t;
   mode : alloc_mode;
   payload : int;
-  durability : Durable.mode;
+  traverse : bool;
   mutable next_region : int;
 }
 
-let make ?durability machine ~mode ~payload =
+let make machine ~mode ~payload =
   (match mode with
   | Plain [||] | Wrapped [||] -> invalid_arg "Node.make: no regions"
   | _ -> ());
   if payload < 0 then invalid_arg "Node.make: negative payload";
-  let durability =
-    match (durability, machine.Machine.durability) with
-    | Some d, _ -> d
-    | None, Core.Durability.Traverse -> Durable.Traverse
-    | None, _ -> Durable.Eager
-  in
-  { machine; mode; payload; durability; next_region = 0 }
+  let traverse = machine.Machine.durability = Core.Durability.Traverse in
+  { machine; mode; payload; traverse; next_region = 0 }
 
 let regions t =
   match t.mode with

@@ -15,23 +15,18 @@ type t = {
   machine : Core.Machine.t;
   mode : alloc_mode;
   payload : int;  (** payload bytes carried by each node *)
-  durability : Durable.mode;
-      (** persistence discipline for structures over this node source:
-          [Eager] (the legacy behaviour — no persistence actions in
-          structure code) or [Traverse] (link-and-persist; see
-          {!Durable} and docs/DURABLE.md) *)
+  traverse : bool;
+      (** whether the machine runs {!Core.Durability.Traverse}:
+          structures over this node source then link-and-persist (see
+          {!Durable} and docs/DURABLE.md); otherwise structure code
+          issues no persistence actions *)
   mutable next_region : int;  (** round-robin cursor *)
 }
 
-val make :
-  ?durability:Durable.mode ->
-  Core.Machine.t ->
-  mode:alloc_mode ->
-  payload:int ->
-  t
-(** [durability] defaults to the machine's: [Traverse] on a machine
-    created with {!Core.Durability.Traverse}, [Eager] under every other
-    discipline (the snapshot disciplines run structure code eager). *)
+val make : Core.Machine.t -> mode:alloc_mode -> payload:int -> t
+(** The discipline is read once from the machine: link-and-persist
+    under {!Core.Durability.Traverse}, eager under every other (the
+    snapshot disciplines run structure code eager). *)
 
 val regions : t -> Nvmpi_nvregion.Region.t array
 (** The regions underlying either mode, in round-robin order. *)

@@ -47,7 +47,14 @@ let mem t = t.machine.Machine.mem
 let meta_get t field = Memsim.load64 (mem t) (Vaddr.add t.meta field)
 let meta_set t field v = Memsim.store64 (mem t) (Vaddr.add t.meta field) v
 
-let create machine region ?(log_cap = 256 * 1024) ?(heap = `Palloc) () =
+(* The heap follows the machine's discipline: under snapshot durability
+   nothing but sync may move the durable cut, and palloc's logged
+   allocations would persist allocator state mid-epoch, so those
+   machines get the flush-free freelist. *)
+let create machine region ?(log_cap = 256 * 1024)
+    ?(heap =
+      if Core.Durability.is_snapshot machine.Machine.durability then `Freelist
+      else `Palloc) () =
   let mem = machine.Machine.mem in
   let meta = Region.alloc region meta_bytes in
   let log = Region.alloc region log_cap in

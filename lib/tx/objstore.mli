@@ -27,11 +27,13 @@ val create : Core.Machine.t -> Nvmpi_nvregion.Region.t -> ?log_cap:int ->
   ?heap:[ `Palloc | `Freelist ] -> unit -> t
 (** Formats the region's remaining free space as an object heap with a
     [log_cap]-byte undo-log buffer (default 256 KiB). The region must be
-    freshly created (or at least have enough free space). [heap] picks
-    the allocator backend: the recoverable size-class
-    {!Nvmpi_palloc.Palloc} (default) or the legacy first-fit
-    {!Nvmpi_alloc.Freelist} (used by the bench runner to keep the
-    committed cycle baseline's object placement). *)
+    freshly created (or at least have enough free space). The allocator
+    backend follows the machine's discipline: the flush-free first-fit
+    {!Nvmpi_alloc.Freelist} under the snapshot disciplines
+    ({!Core.Durability.is_snapshot}), the recoverable size-class
+    {!Nvmpi_palloc.Palloc} otherwise. [heap] pins the backend instead;
+    the bench runner pins [`Freelist] to keep the committed cycle
+    baseline's object placement. *)
 
 val attach : Core.Machine.t -> Nvmpi_nvregion.Region.t -> t
 (** Re-attaches to a formatted region (after a remap or in a new run).

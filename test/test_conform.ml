@@ -101,25 +101,31 @@ let test_engine_clean_under_traverse () =
   check "conform.traces counter" engine_traces
     (List.assoc "conform.traces" r.Engine.counters)
 
-(* What the structures and the kvstore pick from their machine's
-   durability when the caller does not choose. *)
+(* What the structures, the kvstore, the object-store heap and the
+   snapshot granularity pick from their machine's durability — the one
+   switch; none of them takes an argument that could contradict it. *)
 let durability_picks m =
   let module Node = Nvmpi_structures.Node in
-  let module Durable = Nvmpi_structures.Durable in
   let module Kvstore = Nvmpi_apps.Kvstore in
+  let module Objstore = Nvmpi_tx.Objstore in
+  let module Snapshot = Nvmpi_snapshot.Snapshot in
   let r = Machine.open_region m (Machine.create_region m ~size:(1 lsl 20)) in
   let node = Node.make m ~mode:(Node.Plain [| r |]) ~payload:16 in
-  let os = Nvmpi_tx.Objstore.create m r () in
+  (* The snapshot's pages first: the object store claims the rest. *)
+  let snap = Snapshot.create m r () in
+  let os = Objstore.create m r () in
   let created = Kvstore.create os ~repr:Repr.Riv ~name:"kv" () in
   let attached = Kvstore.attach os ~repr:Repr.Riv ~name:"kv" in
   let path kv =
     match Kvstore.write_path kv with `Tx -> "tx" | `Plain -> "plain"
   in
-  Printf.sprintf "%s/%s/%s"
-    (match node.Node.durability with
-    | Durable.Eager -> "eager"
-    | Durable.Traverse -> "traverse")
+  Printf.sprintf "%s/%s/%s/%s/%s"
+    (if node.Node.traverse then "traverse" else "eager")
     (path created) (path attached)
+    (match Objstore.heap_kind os with
+    | `Palloc -> "palloc"
+    | `Freelist -> "freelist")
+    (Snapshot.granularity_to_string (Snapshot.granularity snap))
 
 let test_durability_from_machine () =
   let machine durability =
@@ -130,20 +136,20 @@ let test_durability_from_machine () =
       check_str (Core.Durability.to_string d) want
         (durability_picks (machine d)))
     [
-      (Core.Durability.Eager, "eager/tx/tx");
-      (Traverse, "traverse/tx/tx");
-      (Snapshot_line, "eager/plain/plain");
-      (Snapshot_page, "eager/plain/plain");
+      (Core.Durability.Eager, "eager/tx/tx/palloc/line");
+      (Traverse, "traverse/tx/tx/palloc/line");
+      (Snapshot_line, "eager/plain/plain/freelist/line");
+      (Snapshot_page, "eager/plain/plain/freelist/page");
     ];
   (* Two machines with different disciplines in one process: each
      component follows its own machine, whatever was created last. *)
   let a = machine Traverse in
-  let b = machine Snapshot_line in
-  check_str "traverse machine after a snapshot machine" "traverse/tx/tx"
-    (durability_picks a);
-  check_str "snapshot machine after a traverse node" "eager/plain/plain"
-    (durability_picks b);
-  check_str "default machine" "eager/tx/tx"
+  let b = machine Snapshot_page in
+  check_str "traverse machine after a snapshot machine"
+    "traverse/tx/tx/palloc/line" (durability_picks a);
+  check_str "snapshot machine after a traverse node"
+    "eager/plain/plain/freelist/page" (durability_picks b);
+  check_str "default machine" "eager/tx/tx/palloc/line"
     (durability_picks (Machine.create ~seed:3 ~store:(Store.create ()) ()))
 
 let test_check_trace_replay () =

@@ -11,9 +11,13 @@ module Kvstore = Nvmpi_apps.Kvstore
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let with_machine ?(size = 1 lsl 20) ?(seed = 1) () =
+(* Snapshot tests run on machines created with a snapshot discipline
+   (line-granular unless asked otherwise): the machine picks the
+   snapshot granularity, the kvstore write path and the heap. *)
+let with_machine ?(size = 1 lsl 20) ?(seed = 1)
+    ?(durability = Core.Durability.Snapshot_line) () =
   let store = Store.create () in
-  let m = Machine.create ~seed ~store () in
+  let m = Machine.create ~seed ~durability ~store () in
   let rid = Machine.create_region m ~size in
   let r = Machine.open_region m rid in
   (store, m, rid, r)
@@ -48,11 +52,12 @@ let test_protocol_pages_excluded () =
 let test_line_vs_page_pending () =
   let _, m, _, r = with_machine () in
   let a = Region.alloc r (4 * 4096) in
-  let line = Snapshot.create m r ~granularity:Snapshot.Line () in
-  let store2, m2, _, r2 = with_machine ~seed:2 () in
-  ignore store2;
+  let line = Snapshot.create m r () in
+  let _, m2, _, r2 =
+    with_machine ~seed:2 ~durability:Core.Durability.Snapshot_page ()
+  in
   let b = Region.alloc r2 (4 * 4096) in
-  let page = Snapshot.create m2 r2 ~granularity:Snapshot.Page () in
+  let page = Snapshot.create m2 r2 () in
   (* One word per page: four sparse small updates. *)
   for i = 0 to 3 do
     Memsim.store64 m.Machine.mem (Vaddr.add a (i * 4096)) i;
@@ -97,14 +102,18 @@ let test_replay_restores_logged_image () =
 
 let test_attach_replays_committed_log () =
   let store = Store.create () in
-  let m1 = Machine.create ~seed:3 ~store () in
+  let m1 =
+    Machine.create ~seed:3 ~durability:Core.Durability.Snapshot_page ~store ()
+  in
   let rid = Machine.create_region m1 ~size:(1 lsl 20) in
   let r1 = Machine.open_region m1 rid in
-  let snap1 = Snapshot.create m1 r1 ~granularity:Snapshot.Page () in
+  let snap1 = Snapshot.create m1 r1 () in
   let a = Region.alloc r1 64 in
   Region.set_root r1 "a" a;
   Memsim.store64 m1.Machine.mem a 11;
-  (* Crash between commit and write-back: the next attach owns replay. *)
+  (* Crash between commit and write-back: the next attach owns replay.
+     The granularity is read back from the image, whatever the
+     recovering machine's discipline. *)
   Snapshot.sync ~stop_after:`Commit snap1;
   Snapshot.disable snap1;
   Machine.close_region m1 rid;
@@ -145,9 +154,10 @@ let test_log_full_detected () =
 let test_kvstore_plain_path () =
   let _, m, _, r = with_machine () in
   let snap = Snapshot.create m r () in
-  let os = Objstore.create m r ~heap:`Freelist () in
-  let kv = Kvstore.create os ~repr:Repr.Off_holder ~name:"kv" ~write_path:`Plain () in
+  let os = Objstore.create m r () in
+  let kv = Kvstore.create os ~repr:Repr.Off_holder ~name:"kv" () in
   check_bool "plain path" true (Kvstore.write_path kv = `Plain);
+  check_bool "freelist heap" true (Objstore.heap_kind os = `Freelist);
   Kvstore.put kv ~key:1 "one";
   Kvstore.put kv ~key:2 "two";
   Kvstore.put kv ~key:1 "uno";
@@ -187,16 +197,20 @@ let prop_snapshot_tx_model_agree =
     (fun ops ->
       (* Snapshot arm, on a store we can re-open for the recovery leg. *)
       let store = Store.create () in
-      let m1 = Machine.create ~seed:7 ~store () in
+      let snapshot_machine seed =
+        Machine.create ~seed ~durability:Core.Durability.Snapshot_line ~store
+          ()
+      in
+      let m1 = snapshot_machine 7 in
       let rid = Machine.create_region m1 ~size:(1 lsl 20) in
       let r1 = Machine.open_region m1 rid in
       let snap = Snapshot.create m1 r1 () in
-      let os1 = Objstore.create m1 r1 ~heap:`Freelist () in
-      let kv_snap =
-        Kvstore.create os1 ~repr:Repr.Off_holder ~name:"kv" ~write_path:`Plain ()
-      in
+      let os1 = Objstore.create m1 r1 () in
+      let kv_snap = Kvstore.create os1 ~repr:Repr.Off_holder ~name:"kv" () in
       (* Undo-log arm. *)
-      let _, m2, _, r2 = with_machine ~seed:8 () in
+      let _, m2, _, r2 =
+        with_machine ~seed:8 ~durability:Core.Durability.Eager ()
+      in
       let os2 = Objstore.create m2 r2 () in
       let kv_tx = Kvstore.create os2 ~repr:Repr.Off_holder ~name:"kv" () in
       let model = ref [] in
@@ -223,13 +237,11 @@ let prop_snapshot_tx_model_agree =
       Snapshot.sync ~stop_after:`Commit snap;
       Snapshot.disable snap;
       Machine.close_region m1 rid;
-      let m1' = Machine.create ~seed:9 ~store () in
+      let m1' = snapshot_machine 9 in
       let r1' = Machine.open_region m1' rid in
       ignore (Snapshot.attach m1' r1');
       let os1' = Objstore.attach m1' r1' in
-      let kv' =
-        Kvstore.attach ~write_path:`Plain os1' ~repr:Repr.Off_holder ~name:"kv"
-      in
+      let kv' = Kvstore.attach os1' ~repr:Repr.Off_holder ~name:"kv" in
       live && agree kv')
 
 let () =

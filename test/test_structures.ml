@@ -4,7 +4,7 @@ module Store = Core.Store
 module Repr = Core.Repr
 module Node = Nvmpi_structures.Node
 module Objstore = Nvmpi_tx.Objstore
-module Durable = Nvmpi_structures.Durable
+module Durability = Core.Durability
 module Metrics = Nvmpi_obs.Metrics
 
 module L_norm = Nvmpi_structures.Linked_list.Make (Core.Normal_ptr)
@@ -22,7 +22,7 @@ let check_bool = Alcotest.(check bool)
 let node ?(seed = 1) ?(payload = 32) ?(regions = 1) ?(size = 1 lsl 22)
     ?(tx = false) ?durability () =
   let store = Store.create () in
-  let m = Machine.create ~seed ~store () in
+  let m = Machine.create ~seed ?durability ~store () in
   let rs =
     Array.init regions (fun _ ->
         Machine.open_region m (Machine.create_region m ~size))
@@ -31,7 +31,7 @@ let node ?(seed = 1) ?(payload = 32) ?(regions = 1) ?(size = 1 lsl 22)
     if tx then Node.Wrapped (Array.map (fun r -> Objstore.create m r ()) rs)
     else Node.Plain rs
   in
-  (store, m, Node.make ?durability m ~mode ~payload)
+  (store, m, Node.make m ~mode ~payload)
 
 (* Linked list *)
 
@@ -855,7 +855,8 @@ let prop_bst_remove_matches_set =
 (* Durable (link-and-persist) mode: docs/DURABLE.md. *)
 
 (* The same insert/remove history must yield identical observable state
-   under both disciplines — durability actions never change contents. *)
+   on eager and traverse machines — durability actions never change
+   contents. *)
 let test_durable_matches_eager () =
   let drive_bst nd =
     let t = B_riv.create nd ~name:"t" in
@@ -869,19 +870,19 @@ let test_durable_matches_eager () =
     List.iter (fun k -> ignore (H_riv.remove h ~key:k)) [ 6; 18 ];
     H_riv.traverse h
   in
-  let _, _, nd_e = node ~durability:Durable.Eager () in
-  let _, _, nd_t = node ~durability:Durable.Traverse () in
+  let _, _, nd_e = node ~durability:Durability.Eager () in
+  let _, _, nd_t = node ~durability:Durability.Traverse () in
   Alcotest.(check (pair int int))
     "bstree digests equal" (drive_bst nd_e) (drive_bst nd_t);
-  let _, _, nd_e = node ~durability:Durable.Eager () in
-  let _, _, nd_t = node ~durability:Durable.Traverse () in
+  let _, _, nd_e = node ~durability:Durability.Eager () in
+  let _, _, nd_t = node ~durability:Durability.Traverse () in
   Alcotest.(check (pair int int))
     "hashset digests equal" (drive_hash nd_e) (drive_hash nd_t)
 
 (* Traversal freedom + window accounting: reads flush nothing; each
    mutation pays a bounded window; marks never stay set. *)
 let test_durable_flush_accounting () =
-  let _, m, nd = node ~durability:Durable.Traverse () in
+  let _, m, nd = node ~durability:Durability.Traverse () in
   let h = H_riv.create nd ~name:"h" ~buckets:4 in
   List.iter (fun k -> ignore (H_riv.add h ~key:k)) [ 1; 5; 9; 13; 17; 21 ];
   let counter name snap = Option.value ~default:0 (List.assoc_opt name snap) in
@@ -909,7 +910,7 @@ let test_durable_flush_accounting () =
 (* Eager-mode structures must not even register the dur.* counters —
    the guarantee that keeps BENCH_seed.json byte-identical. *)
 let test_eager_registers_no_dur_counters () =
-  let _, m, nd = node ~durability:Durable.Eager () in
+  let _, m, nd = node ~durability:Durability.Eager () in
   let h = H_riv.create nd ~name:"h" ~buckets:4 in
   List.iter (fun k -> ignore (H_riv.add h ~key:k)) [ 1; 5; 9 ];
   ignore (H_riv.remove h ~key:5);
