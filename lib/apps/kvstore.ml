@@ -83,11 +83,11 @@ let create os ~repr ~name ?(buckets = 256) () =
     Objstore.alloc os ~tag:kind_tag ~size:(buckets * Repr.slot_size repr) ()
   in
   let t = { os; tx = Tx.create os; repr; meta; table; buckets; write_path } in
-  Machine.store64_fast machine meta kind_tag;
-  Machine.store64_fast machine (Vaddr.add meta 8) buckets;
-  Machine.store64_fast machine (Vaddr.add meta 16)
+  Machine.store64 machine meta kind_tag;
+  Machine.store64 machine (Vaddr.add meta 8) buckets;
+  Machine.store64 machine (Vaddr.add meta 16)
     (Vaddr.offset_in table ~base:(Region.base region));
-  Machine.store64_fast machine (Vaddr.add meta 24) 0;
+  Machine.store64 machine (Vaddr.add meta 24) 0;
   for i = 0 to buckets - 1 do
     store_slot_raw t (bucket_holder t i) Vaddr.null
   done;
@@ -101,12 +101,12 @@ let attach os ~repr ~name =
   match Region.root region name with
   | None -> failwith (Printf.sprintf "Kvstore.attach: no root %S" name)
   | Some meta ->
-      if Machine.load64_fast machine meta <> kind_tag then
+      if Machine.load64 machine meta <> kind_tag then
         failwith "Kvstore.attach: root is not a key-value store";
-      let buckets = Machine.load64_fast machine (Vaddr.add meta 8) in
+      let buckets = Machine.load64 machine (Vaddr.add meta 8) in
       let table =
         Vaddr.add (Region.base region)
-          (Machine.load64_fast machine (Vaddr.add meta 16))
+          (Machine.load64 machine (Vaddr.add meta 16))
       in
       { os; tx = Tx.create os; repr; meta; table; buckets; write_path }
 
@@ -118,7 +118,7 @@ let locate t ~key =
     if Vaddr.is_null entry then `Missing holder
     else begin
       Objstore.touch_read t.os;
-      if Machine.load64_fast (machine t) (Vaddr.add entry (key_off t)) = key
+      if Machine.load64 (machine t) (Vaddr.add entry (key_off t)) = key
       then
         `Found (holder, entry)
       else go (Vaddr.add entry next_off)
@@ -130,7 +130,7 @@ let read_value t entry =
   let v = load_slot t (Vaddr.add entry (val_off t)) in
   if Vaddr.is_null v then ""
   else
-    let len = Machine.load64_fast (machine t) v in
+    let len = Machine.load64 (machine t) v in
     Bytes.to_string
       (Memsim.blit_to_bytes (memory t) ~addr:(Vaddr.add v 8) ~len)
 
@@ -138,7 +138,7 @@ let alloc_value t data =
   let len = String.length data in
   let v = Objstore.alloc t.os ~tag:kind_tag ~size:(8 + len) () in
   tx_fresh t v ~size:(8 + len);
-  Machine.store64_fast (machine t) v len;
+  Machine.store64 (machine t) v len;
   if len > 0 then
     Memsim.blit_from_bytes (memory t) ~addr:(Vaddr.add v 8)
       (Bytes.of_string data);
@@ -155,7 +155,7 @@ let put_body t ~key data =
       let entry = Objstore.alloc t.os ~tag:kind_tag ~size:(entry_size t) () in
       tx_fresh t entry ~size:(entry_size t);
       store_slot_raw t (Vaddr.add entry next_off) Vaddr.null;
-      Machine.store64_fast (machine t) (Vaddr.add entry (key_off t)) key;
+      Machine.store64 (machine t) (Vaddr.add entry (key_off t)) key;
       store_slot_raw t (Vaddr.add entry (val_off t)) fresh_value;
       store_slot_tx t holder entry;
       Vaddr.null
@@ -211,7 +211,7 @@ let iter t f =
       let entry = load_slot t holder in
       if Vaddr.is_null entry then ()
       else begin
-        f ~key:(Machine.load64_fast (machine t) (Vaddr.add entry (key_off t)))
+        f ~key:(Machine.load64 (machine t) (Vaddr.add entry (key_off t)))
           ~value:(read_value t entry);
         go (Vaddr.add entry next_off)
       end

@@ -1,5 +1,3 @@
-type stats = { mutable hits : int; mutable misses : int }
-
 type t = {
   line_bits : int;
   sets : int;
@@ -8,7 +6,6 @@ type t = {
   dirty : bool array;
   age : int array;
   mutable tick : int;
-  stats : stats;
 }
 
 (* Unboxed result encoding for [access]: negative values are the two
@@ -32,17 +29,11 @@ let create ~size_bytes ~ways ~line_bits =
     dirty = Array.make (sets * ways) false;
     age = Array.make (sets * ways) 0;
     tick = 0;
-    stats = { hits = 0; misses = 0 };
   }
 
 let sets t = t.sets
 let ways t = t.ways
 let line_bytes t = 1 lsl t.line_bits
-let stats t = t.stats
-
-let reset_stats t =
-  t.stats.hits <- 0;
-  t.stats.misses <- 0
 
 let set_of t line = line land (t.sets - 1)
 
@@ -59,11 +50,9 @@ let access t ~addr ~write =
     let i = base + !found in
     t.age.(i) <- t.tick;
     if write then t.dirty.(i) <- true;
-    t.stats.hits <- t.stats.hits + 1;
     hit
   end
   else begin
-    t.stats.misses <- t.stats.misses + 1;
     (* Choose victim: an invalid way if any, else LRU. *)
     let victim = ref 0 in
     let best_age = ref max_int in

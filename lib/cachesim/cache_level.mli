@@ -38,8 +38,3 @@ val invalidate_all : t -> unit
 val sets : t -> int
 val ways : t -> int
 val line_bytes : t -> int
-
-type stats = { mutable hits : int; mutable misses : int }
-
-val stats : t -> stats
-val reset_stats : t -> unit

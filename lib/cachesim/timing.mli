@@ -18,16 +18,6 @@
 
 type t
 
-type mem_stats = {
-  mutable dram_reads : int;
-  mutable dram_writes : int;
-  mutable nvm_reads : int;
-  mutable nvm_writes : int;
-  mutable flushes : int;
-  mutable fences : int;
-  mutable alu_cycles : int;
-}
-
 val create :
   ?cfg:Timing_config.t ->
   ?metrics:Nvmpi_obs.Metrics.t ->
@@ -41,9 +31,9 @@ val create :
     none is given): per-level [cache.l*.hits]/[cache.l*.misses],
     [mem.dram_reads]/[mem.dram_writes]/[mem.nvm_reads]/[mem.nvm_writes]
     line transfers, and [timing.alu_cycles]/[timing.flushes]/
-    [timing.fences]. Unlike {!mem_stats} these counters are cumulative —
-    {!reset_stats} does not clear them; attribute phases by snapshot and
-    diff ({!Nvmpi_obs.Metrics.diff}). *)
+    [timing.fences]. These counters are the model's only tally, and
+    they are cumulative: attribute a phase by snapshot and diff
+    ({!Nvmpi_obs.Metrics.diff}). *)
 
 val attach : t -> Nvmpi_memsim.Memsim.t -> unit
 (** Registers the model as an access observer of the given memory. *)
@@ -51,16 +41,11 @@ val attach : t -> Nvmpi_memsim.Memsim.t -> unit
 val cfg : t -> Timing_config.t
 val clock : t -> Clock.t
 
+val line_bytes : t -> int
+(** Cache-line size in bytes ([2^line_bits] of the configuration). *)
+
 val access : t -> addr:int -> size:int -> write:bool -> unit
 (** Charge one access explicitly (the observer calls this). *)
-
-val access_line : t -> addr:int -> write:bool -> unit
-(** Charge a single-line access: exactly what {!access} does for any
-    naturally aligned power-of-two access of at most a cache line (such
-    an access never straddles a line). The staged engine's fused deref
-    path calls this directly after a [Memsim.*_fused] data access,
-    bypassing the observer closure; using it for an access that could
-    span lines would undercharge. *)
 
 val alu : t -> int -> unit
 (** [alu t n] charges [n] cycles of register-only computation. *)
@@ -69,6 +54,11 @@ val flush : t -> addr:int -> unit
 (** Cache-line write-back of the line containing [addr] (clflush): the
     line is invalidated in all levels and, if dirty, a memory write is
     charged at the destination latency. *)
+
+val flush_range : t -> addr:int -> len:int -> int
+(** [flush_range t ~addr ~len] issues one {!flush} per cache line of
+    [[addr, addr+len)], in ascending address order, and returns the
+    number of lines flushed (0 when [len <= 0]). *)
 
 val fence : t -> unit
 (** Persist barrier ([wbarrier]). *)
@@ -87,16 +77,5 @@ val set_persist_hook : t -> (persist_event -> unit) option -> unit
     installed (the default) behaviour and cycle accounting are
     bit-for-bit unchanged, and the hook itself must not issue charges. *)
 
-val l1 : t -> Cache_level.t
-val l2 : t -> Cache_level.t
-val l3 : t -> Cache_level.t
-val mem_stats : t -> mem_stats
-
-val reset_stats : t -> unit
-(** Clears hit/miss and memory counters (does not touch the clock or the
-    cache contents). *)
-
 val invalidate_caches : t -> unit
 (** Empties all cache levels (simulates a cold start). *)
-
-val pp_stats : Format.formatter -> t -> unit

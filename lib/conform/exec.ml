@@ -168,8 +168,7 @@ let run ?obs_metrics ?repr ?durability ~kind (tr : Trace.t) : result =
        (docs/SNAPSHOT.md), created after the repr-independent offsets so
        object identities match snapshot-free traces. Epochs then cover
        everything from slot init onward; [Sync] closes them. Traces
-       without [Sync] skip the observers entirely and stay on the
-       solo-observed fused path. *)
+       without [Sync] attach no snapshot observer. *)
     let snapshots =
       if List.exists (function Trace.Sync -> true | _ -> false) tr.ops then
         Some

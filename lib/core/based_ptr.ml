@@ -23,8 +23,8 @@ let store m ~holder (target : Vaddr.t) =
   if Vaddr.is_null target then begin
     (* Encoding NULL is base-independent (Figure 8 stores the constant),
        so it must work before any based region is selected. *)
-    Machine.bump m Machine.Cell.based_stores "repr.based.stores";
-    Machine.store64_fast m holder 0
+    Machine.bump m Machine.Cell.based_stores;
+    Machine.store64 m holder 0
   end
   else begin
     let b = base_of m ~holder ~target in
@@ -33,14 +33,14 @@ let store m ~holder (target : Vaddr.t) =
     (match Machine.region_of_addr m target with
     | Some r when Vaddr.equal (Nvmpi_nvregion.Region.base r) b -> ()
     | _ -> raise (Machine.Cross_region_store { holder; target; repr = name }));
-    Machine.bump m Machine.Cell.based_stores "repr.based.stores";
+    Machine.bump m Machine.Cell.based_stores;
     Machine.alu m 1;
-    Machine.store64_fast m holder (Vaddr.offset_in target ~base:b)
+    Machine.store64 m holder (Vaddr.offset_in target ~base:b)
   end
 
 let load m ~holder =
-  Machine.bump m Machine.Cell.based_loads "repr.based.loads";
+  Machine.bump m Machine.Cell.based_loads;
   let b = base_of m ~holder ~target:Vaddr.null in
-  let v = Machine.load64_fast m holder in
+  let v = Machine.load64 m holder in
   Machine.alu m 1;
   if v = 0 then Vaddr.null else Vaddr.add b v

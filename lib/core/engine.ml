@@ -33,7 +33,7 @@ let load k m ~holder =
   | Repr.Hw_oid -> Hw_oid.load m ~holder
 
 (** [deref k m ~holder] decodes the pointer in [holder] and loads the
-    64-bit word it targets through the fused access — the paper's unit
-    of comparison (a few bit transformations plus the dependent load).
+    64-bit word it targets — the paper's unit of comparison (a few bit
+    transformations plus the dependent load).
     The holder must hold a non-null pointer. *)
-let deref k m ~holder = Machine.load64_fast m (load k m ~holder)
+let deref k m ~holder = Machine.load64 m (load k m ~holder)

@@ -18,30 +18,30 @@ let position_independent = true
    through the fat runtime's reverse search instead of the RID table. *)
 let store_into m ~holder (target : Vaddr.t) =
   if Vaddr.is_null target then begin
-    Machine.store64_fast m holder 0;
-    Machine.store64_fast m (Vaddr.add holder 8) 0
+    Machine.store64 m holder 0;
+    Machine.store64 m (Vaddr.add holder 8) 0
   end
   else begin
     let rid = Fat_table.rid_of_addr m.Machine.fat target in
     Machine.alu m 1;
     let offset = K.seg_offset m.Machine.layout target in
-    Machine.store64_fast m holder (rid :> int);
-    Machine.store64_fast m (Vaddr.add holder 8) offset
+    Machine.store64 m holder (rid :> int);
+    Machine.store64 m (Vaddr.add holder 8) offset
   end
 
 let store m ~holder target =
-  Machine.bump m Machine.Cell.fat_stores "repr.fat.stores";
+  Machine.bump m Machine.Cell.fat_stores;
   store_into m ~holder target
 
 let load m ~holder =
-  Machine.bump m Machine.Cell.fat_loads "repr.fat.loads";
-  let rid = Machine.load64_fast m holder in
+  Machine.bump m Machine.Cell.fat_loads;
+  let rid = Machine.load64 m holder in
   if rid = 0 then begin
     Fat_table.charge_null_lookup m.Machine.fat;
     Vaddr.null
   end
   else begin
-    let offset = Machine.load64_fast m (Vaddr.add holder 8) in
+    let offset = Machine.load64 m (Vaddr.add holder 8) in
     let base = Fat_table.lookup m.Machine.fat (Rid.v rid) in
     Machine.alu m 1;
     Vaddr.add base offset

@@ -13,30 +13,30 @@ let cross_region = true
 let position_independent = true
 
 let store m ~holder target =
-  Machine.bump m Machine.Cell.fat_cached_stores "repr.fat-cached.stores";
+  Machine.bump m Machine.Cell.fat_cached_stores;
   Fat.store_into m ~holder target
 
 let load m ~holder =
-  Machine.bump m Machine.Cell.fat_cached_loads "repr.fat-cached.loads";
-  let rid = Machine.load64_fast m holder in
+  Machine.bump m Machine.Cell.fat_cached_loads;
+  let rid = Machine.load64 m holder in
   if rid = 0 then begin
     Fat_table.charge_null_lookup m.Machine.fat;
     Vaddr.null
   end
   else begin
-    let offset = Machine.load64_fast m (Vaddr.add holder 8) in
-    let last_id = Machine.load64_fast m (Machine.lastid_addr m) in
+    let offset = Machine.load64 m (Vaddr.add holder 8) in
+    let last_id = Machine.load64 m (Machine.lastid_addr m) in
     Machine.alu m 1;
     let base =
       if last_id = rid then begin
-        Machine.bump m Machine.Cell.fat_cache_hits "fat.cache_hits";
-        Vaddr.v (Machine.load64_fast m (Machine.lastaddr_addr m))
+        Machine.bump m Machine.Cell.fat_cache_hits;
+        Vaddr.v (Machine.load64 m (Machine.lastaddr_addr m))
       end
       else begin
-        Machine.bump m Machine.Cell.fat_cache_misses "fat.cache_misses";
+        Machine.bump m Machine.Cell.fat_cache_misses;
         let b = Fat_table.lookup m.Machine.fat (Rid.v rid) in
-        Machine.store64_fast m (Machine.lastid_addr m) rid;
-        Machine.store64_fast m (Machine.lastaddr_addr m) (b :> int);
+        Machine.store64 m (Machine.lastid_addr m) rid;
+        Machine.store64 m (Machine.lastaddr_addr m) (b :> int);
         b
       end
     in

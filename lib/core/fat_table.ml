@@ -129,20 +129,6 @@ let remove t ~rid:(rid : Rid.t) =
     t.list_len <- t.list_len - 1
   end
 
-(* Fused table load (staged engine): same contract as Nvspace's —
-   Fat_table is only constructed by [Machine.create], where [timing] is
-   the memory's observer 0, so under [solo_observed] the fused load plus
-   a direct single-line charge equals the generic observed load. Used
-   on the hot read paths (probe loop, reverse binary search); the cold
-   put/remove paths keep the generic accessors. *)
-let[@inline] table_load64 t a =
-  if Memsim.solo_observed t.mem then begin
-    let v = Memsim.load64_fused t.mem a in
-    Timing.access_line t.timing ~addr:(a : Vaddr.t :> int) ~write:false;
-    v
-  end
-  else Memsim.load64 t.mem a
-
 let charge_null_lookup t =
   incr t.c_null_lookups;
   Timing.alu t.timing null_check_overhead
@@ -155,9 +141,9 @@ let lookup t (rid : Rid.t) =
     else begin
       Timing.alu t.timing 1;
       incr t.c_probe_loads;
-      let k = table_load64 t (slot_addr t i) in
+      let k = Memsim.load64 t.mem (slot_addr t i) in
       if k = (rid :> int) then
-        Vaddr.v (table_load64 t (Vaddr.add (slot_addr t i) 8))
+        Vaddr.v (Memsim.load64 t.mem (Vaddr.add (slot_addr t i) 8))
       else if k = empty_key then raise (Unknown_region { rid })
       else probe ((i + 1) land (t.slots - 1)) (steps + 1)
     end
@@ -176,9 +162,9 @@ let rid_of_addr t (a : Vaddr.t) =
     incr t.c_reverse_steps;
     Timing.alu t.timing 2;
     let mid = (!lo + !hi) / 2 in
-    let base = table_load64 t (list_addr t mid) in
+    let base = Memsim.load64 t.mem (list_addr t mid) in
     if base = seg then
-      found := table_load64 t (Vaddr.add (list_addr t mid) 8)
+      found := Memsim.load64 t.mem (Vaddr.add (list_addr t mid) 8)
     else if base < seg then lo := mid + 1
     else hi := mid - 1
   done;

@@ -11,41 +11,50 @@ module Region = Nvmpi_nvregion.Region
 module Store = Nvmpi_nvregion.Store
 module Metrics = Nvmpi_obs.Metrics
 
-(* Per-machine counter cells for the staged engines: one slot per
-   hot-path counter, indexed by the constants below. Slots start as the
-   [Metrics.Handle.unresolved] sentinel and are resolved on first bump,
-   so a counter registers (and appears in snapshots) at exactly the
-   moment the string-keyed [count] path would have registered it. *)
+(* The hot counters the representations and durable links bump once
+   per pointer operation: one slot per name, so a bump is an array read
+   and an increment, with no registry lookup. A machine's slots start
+   as the [unresolved] sentinel and are resolved on first bump, so a
+   counter registers (and appears in snapshots) at its first increment,
+   as with [Metrics.incr]. *)
 module Cell = struct
-  let normal_stores = 0
-  let normal_loads = 1
-  let off_holder_stores = 2
-  let off_holder_loads = 3
-  let riv_stores = 4
-  let riv_loads = 5
-  let fat_stores = 6
-  let fat_loads = 7
-  let fat_cached_stores = 8
-  let fat_cached_loads = 9
-  let fat_cache_hits = 10
-  let fat_cache_misses = 11
-  let based_stores = 12
-  let based_loads = 13
-  let swizzle_stores = 14
-  let swizzle_loads = 15
-  let swizzle_packed_stores = 16
-  let swizzle_swizzled = 17
-  let swizzle_unswizzled = 18
-  let packed_fat_stores = 19
-  let packed_fat_loads = 20
-  let hw_oid_stores = 21
-  let hw_oid_loads = 22
-  let dur_traversal_loads = 23
-  let dur_window_flushes = 24
-  let dur_helper_flushes = 25
-  let dur_marks_set = 26
-  let dur_marks_cleared = 27
-  let slots = 28
+  type t = { slot : int; name : string }
+
+  let slots = ref 0
+
+  let cell name =
+    let slot = !slots in
+    incr slots;
+    { slot; name }
+
+  let normal_stores = cell "repr.normal.stores"
+  let normal_loads = cell "repr.normal.loads"
+  let off_holder_stores = cell "repr.off-holder.stores"
+  let off_holder_loads = cell "repr.off-holder.loads"
+  let riv_stores = cell "repr.riv.stores"
+  let riv_loads = cell "repr.riv.loads"
+  let fat_stores = cell "repr.fat.stores"
+  let fat_loads = cell "repr.fat.loads"
+  let fat_cached_stores = cell "repr.fat-cached.stores"
+  let fat_cached_loads = cell "repr.fat-cached.loads"
+  let fat_cache_hits = cell "fat.cache_hits"
+  let fat_cache_misses = cell "fat.cache_misses"
+  let based_stores = cell "repr.based.stores"
+  let based_loads = cell "repr.based.loads"
+  let swizzle_stores = cell "repr.swizzle.stores"
+  let swizzle_loads = cell "repr.swizzle.loads"
+  let swizzle_packed_stores = cell "swizzle.packed_stores"
+  let swizzle_swizzled = cell "swizzle.swizzled_slots"
+  let swizzle_unswizzled = cell "swizzle.unswizzled_slots"
+  let packed_fat_stores = cell "repr.packed-fat.stores"
+  let packed_fat_loads = cell "repr.packed-fat.loads"
+  let hw_oid_stores = cell "repr.hw-oid.stores"
+  let hw_oid_loads = cell "repr.hw-oid.loads"
+  let dur_traversal_loads = cell "dur.traversal_loads"
+  let dur_window_flushes = cell "dur.window_flushes"
+  let dur_helper_flushes = cell "dur.helper_flushes"
+  let dur_marks_set = cell "dur.marks_set"
+  let dur_marks_cleared = cell "dur.marks_cleared"
 end
 
 type t = {
@@ -57,7 +66,7 @@ type t = {
   nvspace : Nvspace.t;
   fat : Fat_table.t;
   metrics : Metrics.t;
-  cells : Metrics.Handle.t array;
+  cells : int ref array;
   durability : Durability.t;
   mutable based_base : Vaddr.t;
       (* Vaddr.null = unset; the data area never contains address 0 *)
@@ -68,6 +77,10 @@ type t = {
 
 exception
   Cross_region_store of { holder : Vaddr.t; target : Vaddr.t; repr : string }
+
+(* Compared by physical identity: a cell still equal to it has not been
+   resolved. Never incremented. *)
+let unresolved = ref min_int
 
 (* Fixed carve-outs in the simulated DRAM (volatile) address range. *)
 let dram_base = 0x10_0000 (* 1 MiB *)
@@ -111,7 +124,7 @@ let create ?(layout = Layout.default) ?cfg ?metrics ?seed
     nvspace;
     fat;
     metrics;
-    cells = Array.make Cell.slots Metrics.Handle.unresolved;
+    cells = Array.make !Cell.slots unresolved;
     durability;
     based_base = Vaddr.null;
     crash_hook = None;
@@ -218,39 +231,12 @@ let alu t n = Timing.alu t.timing n
 let cycles t = Clock.cycles t.clock
 let is_nvm t a = K.in_nv_space t.layout a
 let metrics t = t.metrics
-let count ?by t name = Metrics.incr ?by t.metrics name
 
-(* Staged fast paths. [create] attaches the timing model as observer 0
-   before anything else can register, so whenever [Memsim.solo_observed]
-   holds, the sole observer *is* [t.timing] and the fused data access
-   plus a direct [Timing.access_line] charge is exactly what the generic
-   path's observer dispatch would have done. Any second observer (the
-   fault-injection tracker) or [Memsim.observed false] window makes the
-   guard false and falls back to the generic path, preserving observer
-   semantics and event order bit-for-bit. *)
+let[@inline never] resolve t (c : Cell.t) =
+  let r = Metrics.counter t.metrics c.name in
+  t.cells.(c.slot) <- r;
+  r
 
-let[@inline never] resolve_cell t i name =
-  let c = Metrics.handle t.metrics name in
-  t.cells.(i) <- c;
-  c
-
-let[@inline] cell t i name =
-  let c = Array.unsafe_get t.cells i in
-  if Metrics.Handle.resolved c then c else resolve_cell t i name
-
-let[@inline] bump t i name = Metrics.Handle.bump (cell t i name)
-
-let[@inline] load64_fast t a =
-  if Memsim.solo_observed t.mem then begin
-    let v = Memsim.load64_fused t.mem a in
-    Timing.access_line t.timing ~addr:(a : Vaddr.t :> int) ~write:false;
-    v
-  end
-  else Memsim.load64 t.mem a
-
-let[@inline] store64_fast t a v =
-  if Memsim.solo_observed t.mem then begin
-    Memsim.store64_fused t.mem a v;
-    Timing.access_line t.timing ~addr:(a : Vaddr.t :> int) ~write:true
-  end
-  else Memsim.store64 t.mem a v
+let[@inline] bump t (c : Cell.t) =
+  let r = Array.unsafe_get t.cells c.slot in
+  incr (if r != unresolved then r else resolve t c)

@@ -18,38 +18,39 @@
     regions models a new run in which every region lands at a different
     virtual address. *)
 
-(** Indices into the machine's staged counter-cell table; see {!cell}.
-    One constant per hot-path counter name. *)
+(** The hot counters bumped once per pointer operation, each naming
+    its registry counter once; see {!bump}. *)
 module Cell : sig
-  val normal_stores : int
-  val normal_loads : int
-  val off_holder_stores : int
-  val off_holder_loads : int
-  val riv_stores : int
-  val riv_loads : int
-  val fat_stores : int
-  val fat_loads : int
-  val fat_cached_stores : int
-  val fat_cached_loads : int
-  val fat_cache_hits : int
-  val fat_cache_misses : int
-  val based_stores : int
-  val based_loads : int
-  val swizzle_stores : int
-  val swizzle_loads : int
-  val swizzle_packed_stores : int
-  val swizzle_swizzled : int
-  val swizzle_unswizzled : int
-  val packed_fat_stores : int
-  val packed_fat_loads : int
-  val hw_oid_stores : int
-  val hw_oid_loads : int
-  val dur_traversal_loads : int
-  val dur_window_flushes : int
-  val dur_helper_flushes : int
-  val dur_marks_set : int
-  val dur_marks_cleared : int
-  val slots : int
+  type t
+
+  val normal_stores : t
+  val normal_loads : t
+  val off_holder_stores : t
+  val off_holder_loads : t
+  val riv_stores : t
+  val riv_loads : t
+  val fat_stores : t
+  val fat_loads : t
+  val fat_cached_stores : t
+  val fat_cached_loads : t
+  val fat_cache_hits : t
+  val fat_cache_misses : t
+  val based_stores : t
+  val based_loads : t
+  val swizzle_stores : t
+  val swizzle_loads : t
+  val swizzle_packed_stores : t
+  val swizzle_swizzled : t
+  val swizzle_unswizzled : t
+  val packed_fat_stores : t
+  val packed_fat_loads : t
+  val hw_oid_stores : t
+  val hw_oid_loads : t
+  val dur_traversal_loads : t
+  val dur_window_flushes : t
+  val dur_helper_flushes : t
+  val dur_marks_set : t
+  val dur_marks_cleared : t
 end
 
 type t = {
@@ -63,9 +64,9 @@ type t = {
   metrics : Nvmpi_obs.Metrics.t;
       (** the machine-wide counter registry every layer reports into;
           catalogue in [docs/METRICS.md] *)
-  cells : Nvmpi_obs.Metrics.Handle.t array;
-      (** lazily resolved counter handles, indexed by {!Cell} constants;
-          use {!bump}/{!cell}, never index directly *)
+  cells : int ref array;
+      (** lazily resolved registry cells, one per {!Cell}; use {!bump},
+          never index directly *)
   durability : Durability.t;
       (** the persistence discipline structures and stores built on
           this machine follow; fixed at {!create} *)
@@ -182,36 +183,6 @@ val is_nvm : t -> Nvmpi_addr.Kinds.Vaddr.t -> bool
 
 val metrics : t -> Nvmpi_obs.Metrics.t
 
-val count : ?by:int -> t -> string -> unit
-(** [count t name] bumps counter [name] in the machine's registry —
-    the hook the pointer representations use to report events at the
-    point of cost. *)
-
-(** {1 Staged fast paths}
-
-    The pre-resolved-counter and fused-access machinery behind the
-    staged per-representation engines ({!Engine}). Observational
-    contract: every entry point here is bit-for-bit equivalent to its
-    generic counterpart ([count] / [load64] / [store64]) — same
-    counters registered at the same moments, same cycles charged in the
-    same order — it only skips host-side indirections (the string
-    lookup, the observer closure). *)
-
-val cell : t -> int -> string -> Nvmpi_obs.Metrics.Handle.t
-(** [cell t i name] is the handle for counter [name] cached in cell
-    slot [i] (a {!Cell} constant), resolving and registering it on
-    first use. *)
-
-val bump : t -> int -> string -> unit
-(** [bump t i name] increments the counter behind cell slot [i] —
-    the staged equivalent of [count t name]. *)
-
-val load64_fast : t -> Nvmpi_addr.Kinds.Vaddr.t -> int
-val store64_fast : t -> Nvmpi_addr.Kinds.Vaddr.t -> int -> unit
-(** Fused 64-bit accesses: when the machine's timing model is the sole
-    enabled observer (the steady state — [create] attaches it as
-    observer 0), the data access and the single-line cache charge are
-    made directly, skipping the observer closure. Otherwise (durability
-    tracker attached, or an [observed false] bookkeeping window) they
-    fall back to the generic [load64]/[store64], so observer semantics
-    and event order are preserved exactly. *)
+val bump : t -> Cell.t -> unit
+(** [bump t c] increments the registry counter named by [c],
+    registering it on the first bump. *)

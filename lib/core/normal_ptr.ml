@@ -10,9 +10,9 @@ let cross_region = true
 let position_independent = false
 
 let store m ~holder (target : Vaddr.t) =
-  Machine.bump m Machine.Cell.normal_stores "repr.normal.stores";
-  Machine.store64_fast m holder (target :> int)
+  Machine.bump m Machine.Cell.normal_stores;
+  Machine.store64 m holder (target :> int)
 
 let load m ~holder =
-  Machine.bump m Machine.Cell.normal_loads "repr.normal.loads";
-  Vaddr.v (Machine.load64_fast m holder)
+  Machine.bump m Machine.Cell.normal_loads;
+  Vaddr.v (Machine.load64 m holder)

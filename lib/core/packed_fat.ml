@@ -20,8 +20,8 @@ let cross_region = true
 let position_independent = true
 
 let store m ~holder (target : Vaddr.t) =
-  Machine.bump m Machine.Cell.packed_fat_stores "repr.packed-fat.stores";
-  if Vaddr.is_null target then Machine.store64_fast m holder 0
+  Machine.bump m Machine.Cell.packed_fat_stores;
+  if Vaddr.is_null target then Machine.store64 m holder 0
   else begin
     let rid = Fat_table.rid_of_addr m.Machine.fat target in
     Machine.alu m 3;
@@ -31,12 +31,12 @@ let store m ~holder (target : Vaddr.t) =
       K.riv_of_rid_off m.Machine.layout ~rid
         ~offset:(K.seg_offset m.Machine.layout target)
     in
-    Machine.store64_fast m holder (v :> int)
+    Machine.store64 m holder (v :> int)
   end
 
 let load m ~holder =
-  Machine.bump m Machine.Cell.packed_fat_loads "repr.packed-fat.loads";
-  let v = Riv.v (Machine.load64_fast m holder) in
+  Machine.bump m Machine.Cell.packed_fat_loads;
+  let v = Riv.v (Machine.load64 m holder) in
   if Riv.is_null v then begin
     Fat_table.charge_null_lookup m.Machine.fat;
     Vaddr.null

@@ -15,11 +15,11 @@ let position_independent = true
 (* Figure 8, persistentX encode (x = p): Nvspace.p2x is addr2id plus
    the Figure 5 packing. *)
 let store m ~holder target =
-  Machine.bump m Machine.Cell.riv_stores "repr.riv.stores";
-  Machine.store64_fast m holder (Nvspace.p2x m.Machine.nvspace target :> int)
+  Machine.bump m Machine.Cell.riv_stores;
+  Machine.store64 m holder (Nvspace.p2x m.Machine.nvspace target :> int)
 
 (* Figure 8, persistentX decode (p = x): Nvspace.x2p is the field
    extraction, id2addr and the final or. *)
 let load m ~holder =
-  Machine.bump m Machine.Cell.riv_loads "repr.riv.loads";
-  Nvspace.x2p m.Machine.nvspace (Riv.v (Machine.load64_fast m holder))
+  Machine.bump m Machine.Cell.riv_loads;
+  Nvspace.x2p m.Machine.nvspace (Riv.v (Machine.load64 m holder))

@@ -127,8 +127,6 @@ let cache_pressure ?(scale = 1.0) ?seed ?durability () =
 (* Where the cycles go: per-representation memory-system behaviour for
    one traversal workload. *)
 let cache_stats ?(scale = 1.0) ?seed ?durability () =
-  let module Timing = Nvmpi_cachesim.Timing in
-  let module Cache_level = Nvmpi_cachesim.Cache_level in
   let reprs =
     [ Repr.Normal; Repr.Based; Repr.Off_holder; Repr.Riv; Repr.Fat ]
   in
@@ -146,24 +144,22 @@ let cache_stats ?(scale = 1.0) ?seed ?durability () =
                }
            in
            let m = Runner.run cfg in
-           let timing = m.Runner.machine.Core.Machine.timing in
-           let rate c =
-             let s = Cache_level.stats c in
-             let total = s.Cache_level.hits + s.Cache_level.misses in
+           let count name = Runner.counter name m.Runner.counters in
+           let rate level =
+             let hits = count ("cache." ^ level ^ ".hits") in
+             let total = hits + count ("cache." ^ level ^ ".misses") in
              if total = 0 then "-"
              else
                Printf.sprintf "%.1f%%"
-                 (100.0 *. float_of_int s.Cache_level.hits
-                 /. float_of_int total)
+                 (100.0 *. float_of_int hits /. float_of_int total)
            in
-           let ms = Timing.mem_stats timing in
            ( [
                Repr.to_string repr;
-               rate (Timing.l1 timing);
-               rate (Timing.l2 timing);
-               rate (Timing.l3 timing);
-               string_of_int ms.Timing.nvm_reads;
-               string_of_int ms.Timing.alu_cycles;
+               rate "l1";
+               rate "l2";
+               rate "l3";
+               string_of_int (count "mem.nvm_reads");
+               string_of_int (count "timing.alu_cycles");
                Printf.sprintf "%.0f" m.Runner.per_op;
              ],
              Figures.row_json ~row:(Repr.to_string repr)

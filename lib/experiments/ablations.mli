@@ -18,8 +18,9 @@ val cache_pressure : Figures.experiment
 
 val cache_stats : Figures.experiment
 (** Memory-system behaviour per representation on one workload: cache
-    hit rates per level, NVM reads and ALU cycles of the measured phase,
-    and absolute cycles per traversal. *)
+    hit rates per level, NVM reads and ALU cycles of the measured phase
+    (read from its registry deltas), and absolute cycles per
+    traversal. *)
 
 val extension_structures : Figures.experiment
 (** The Figure 12 experiment on the structures this library adds beyond

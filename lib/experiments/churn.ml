@@ -77,9 +77,7 @@ let table ?(scale = 1.0) ?seed () =
       (List.map
          (fun repr ->
            let cycles, counters = run_repr ~ops ~seed repr in
-           let col name =
-             string_of_int (Option.value ~default:0 (List.assoc_opt name counters))
-           in
+           let col name = string_of_int (Runner.counter name counters) in
            let name = Repr.to_string repr in
            let cell =
              Json.Obj

@@ -44,9 +44,9 @@ let run_one ~ops ~seed structure repr ~durability =
   let inst = Instance.create structure repr node ~name:"durset" in
   (* Eager-baseline plumbing: record each op's touched NVM lines in
      first-touch order (deterministic), then flush them + fence at the
-     op boundary. The observer is attached before the preload so both
-     phases run the measured ops on the generic (observed) access path —
-     the cycle columns differ only by the persistence actions. *)
+     op boundary. The observer only records addresses and charges
+     nothing, so the cycle columns differ only by the persistence
+     actions. *)
   let lines = ref [] in
   let seen = Hashtbl.create 64 in
   let recording = ref false in
@@ -89,9 +89,6 @@ let run_one ~ops ~seed structure repr ~durability =
   in
   (cycles, counters)
 
-let counter name counters =
-  Option.value ~default:0 (List.assoc_opt name counters)
-
 let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
 
 type pair = {
@@ -125,8 +122,8 @@ let table ?(scale = 1.0) ?seed () =
                    (Instance.structure_name structure)
                    (Repr.to_string repr)
                in
-               let ef = counter "timing.flushes" p.eager_counters in
-               let tf = counter "timing.flushes" p.traverse_counters in
+               let ef = Runner.counter "timing.flushes" p.eager_counters in
+               let tf = Runner.counter "timing.flushes" p.traverse_counters in
                let cell label cycles counters =
                  Json.Obj
                    [

@@ -49,8 +49,7 @@ type measurement = {
   counters : (string * int) list;
       (* metric deltas over the measured phase only (sorted by name) *)
   machine : Machine.t;
-      (* kept so callers can inspect post-run state (RIV phase counters,
-         cache statistics) *)
+      (* kept so callers can inspect post-run state (RIV phase counters) *)
 }
 
 let applicable kind ~regions = regions <= 1 || Repr.cross_region kind
@@ -147,6 +146,9 @@ let measure machine f =
   let result, cycles = Clock.delta machine.Machine.clock f in
   (result, cycles, Core.Metrics.diff ~before ~after:(Core.Metrics.snapshot metrics))
 
+let counter name counters =
+  Option.value ~default:0 (List.assoc_opt name counters)
+
 let run cfg =
   let machine, node = setup cfg in
   let inst = Instance.create cfg.structure cfg.repr node ~name:"bench" in
@@ -160,7 +162,6 @@ let run cfg =
   if cfg.repr = Repr.Swizzle then inst.Instance.unswizzle ();
   let searches = Workload.search_sample ~keys ~n:cfg.searches ~seed:cfg.seed in
   Core.Nvspace.reset_phases machine.Machine.nvspace;
-  Nvmpi_cachesim.Timing.reset_stats machine.Machine.timing;
   if cfg.cold then
     Nvmpi_cachesim.Timing.invalidate_caches machine.Machine.timing;
   let nodes = ref 0 and checksum = ref 0 and found = ref 0 in

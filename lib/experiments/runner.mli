@@ -48,7 +48,7 @@ type measurement = {
           [docs/METRICS.md] for the counter catalogue. *)
   machine : Core.Machine.t;
       (** the machine the experiment ran on, for post-run inspection
-          (RIV phase counters, cache statistics) *)
+          (RIV phase counters) *)
 }
 
 val run : config -> measurement
@@ -75,6 +75,10 @@ val measure :
 (** [measure machine f] runs [f] and returns its result, the simulated
     cycles it took and the machine's metric deltas over it
     ({!Core.Metrics.diff}). *)
+
+val counter : string -> (string * int) list -> int
+(** [counter name deltas] is [name]'s value in a {!measure} (or
+    {!measurement} [counters]) delta list; 0 when absent. *)
 
 val applicable : Core.Repr.kind -> regions:int -> bool
 (** Whether a representation supports the given region count. *)

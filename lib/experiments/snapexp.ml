@@ -55,9 +55,6 @@ let arm_label = function
 
 let scaled scale n = max 120 (int_of_float (float_of_int n *. scale))
 
-let counter name counters =
-  Option.value ~default:0 (List.assoc_opt name counters)
-
 (* Each arm's machine runs that arm's discipline, which picks the
    snapshot granularity, and for the kvstore rows the heap and write
    path: palloc and undo-logged transactions under [undo] (palloc's op
@@ -207,7 +204,9 @@ let table ?(scale = 1.0) ?seed () =
   let ops = scaled scale 600 in
   let row name runner =
     let results = List.map (fun arm -> (arm, runner arm)) arms in
-    let bytes counters = counter "timing.flushes" counters * line_bytes in
+    let bytes counters =
+      Runner.counter "timing.flushes" counters * line_bytes
+    in
     let cell (arm, (cycles, counters)) =
       Json.Obj
         [

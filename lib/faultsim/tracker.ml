@@ -1,7 +1,6 @@
 module Machine = Core.Machine
 module Memsim = Nvmpi_memsim.Memsim
 module Timing = Nvmpi_cachesim.Timing
-module Timing_config = Nvmpi_cachesim.Timing_config
 module Manager = Nvmpi_nvregion.Manager
 module Region = Nvmpi_nvregion.Region
 module Metrics = Nvmpi_obs.Metrics
@@ -93,9 +92,7 @@ let apply_crash t =
 let persisting t = t.armed && not t.dropping
 
 let attach machine =
-  let line =
-    1 lsl (Timing.cfg machine.Machine.timing).Timing_config.line_bits
-  in
+  let line = Timing.line_bytes machine.Machine.timing in
   let metrics = machine.Machine.metrics in
   let t =
     {

@@ -1,5 +1,3 @@
-type stats = { mutable loads : int; mutable stores : int; mutable pages : int }
-
 exception Fault of { addr : int; size : int; reason : string }
 
 module Metrics = Nvmpi_obs.Metrics
@@ -26,7 +24,6 @@ type t = {
      Invalidated by unmap (the only operation that drops pages). *)
   mutable tlb_page : int; (* -1 = invalid *)
   mutable tlb_bytes : Bytes.t;
-  stats : stats;
   (* Counter cells resolved once at creation: the access path runs on
      every simulated load/store, so it must not pay a registry lookup. *)
   c_loads : int ref;
@@ -49,13 +46,11 @@ let create ?(page_bits = 12) ?metrics () =
     notify = true;
     tlb_page = -1;
     tlb_bytes = no_page;
-    stats = { loads = 0; stores = 0; pages = 0 };
     c_loads = Metrics.counter metrics "mem.loads";
     c_stores = Metrics.counter metrics "mem.stores";
   }
 
 let page_size t = 1 lsl t.page_bits
-let stats t = t.stats
 
 let fault addr size reason = raise (Fault { addr; size; reason })
 
@@ -100,10 +95,7 @@ let unmap t ~addr =
       invalid_arg (Printf.sprintf "Memsim.unmap: no mapping at 0x%x" addr)
   | Some (f, l) ->
       for p = f to l do
-        if Hashtbl.mem t.pages p then begin
-          Hashtbl.remove t.pages p;
-          t.stats.pages <- t.stats.pages - 1
-        end
+        Hashtbl.remove t.pages p
       done;
       (* Drop the range in place: [f] is unique among disjoint ranges. *)
       let n = Array.length t.ranges in
@@ -140,14 +132,7 @@ let add_observer t f =
 let observed t b = t.notify <- b
 
 let notify t write addr size =
-  if write then begin
-    t.stats.stores <- t.stats.stores + 1;
-    incr t.c_stores
-  end
-  else begin
-    t.stats.loads <- t.stats.loads + 1;
-    incr t.c_loads
-  end;
+  if write then incr t.c_stores else incr t.c_loads;
   if t.notify then begin
     let n = t.n_obs in
     if n = 1 then t.obs0 ~write ~addr ~size
@@ -162,7 +147,6 @@ let materialize t p addr size =
   if not (page_in_ranges t p) then fault addr size "unmapped";
   let page = Bytes.make (t.page_mask + 1) '\000' in
   Hashtbl.add t.pages p page;
-  t.stats.pages <- t.stats.pages + 1;
   page
 
 let[@inline] get_page t addr size =
@@ -248,65 +232,6 @@ let store_sized t ~size a v =
   | 8 -> store64 t a v
   | _ -> invalid_arg "Memsim.store_sized"
 
-(* Fused entry points (staged engine): the full access pipeline minus
-   observer dispatch. A caller that *is* the sole observer — the staged
-   per-representation engines hold the machine's timing model directly —
-   performs the data access here and charges the cache model itself,
-   skipping one closure indirection per access. [solo_observed] is the
-   guard: it holds exactly when generic [load64] would have made a
-   single direct [obs0] call, so fused + caller-side charge is
-   observationally identical to the generic path. *)
-
-let[@inline] solo_observed t = t.notify && t.n_obs = 1
-
-let[@inline] note t write =
-  if write then begin
-    t.stats.stores <- t.stats.stores + 1;
-    incr t.c_stores
-  end
-  else begin
-    t.stats.loads <- t.stats.loads + 1;
-    incr t.c_loads
-  end
-
-let load8_fused t a =
-  if a < 0 then fault a 1 "negative address";
-  let page = get_page t a 1 in
-  note t false;
-  Char.code (Bytes.get page (a land t.page_mask))
-
-let load16_fused t a =
-  check_align a 2;
-  let page = get_page t a 2 in
-  note t false;
-  Bytes.get_uint16_le page (a land t.page_mask)
-
-let load32_fused t a =
-  check_align a 4;
-  let page = get_page t a 4 in
-  note t false;
-  Int32.to_int (Bytes.get_int32_le page (a land t.page_mask)) land 0xFFFFFFFF
-
-let load64_fused t a =
-  check_align a 8;
-  let page = get_page t a 8 in
-  note t false;
-  Int64.to_int (Bytes.get_int64_le page (a land t.page_mask))
-
-let store64_fused t a v =
-  check_align a 8;
-  let page = get_page t a 8 in
-  note t true;
-  Bytes.set_int64_le page (a land t.page_mask) (Int64.of_int v)
-
-let load_sized_fused t ~size a =
-  match size with
-  | 1 -> load8_fused t a
-  | 2 -> load16_fused t a
-  | 4 -> load32_fused t a
-  | 8 -> load64_fused t a
-  | _ -> invalid_arg "Memsim.load_sized_fused"
-
 (* Bulk transfers copy raw page chunks (so arbitrary byte patterns
    roundtrip exactly, including 64-bit words that would overflow a native
    int) and report one observer access per chunk; the timing model
@@ -345,7 +270,7 @@ let fill t ~addr ~len c =
   done
 
 (* Debug port: raw access that bypasses the access pipeline entirely —
-   no observers, no load/store statistics or counters. Harness-only
+   no observers, no load/store counters. Harness-only
    (the fault-injection subsystem's snapshot/restore machinery); never
    use it to model a program access. *)
 
@@ -400,9 +325,6 @@ let store32 t (a : Vaddr.t) v = store32 t (a :> int) v
 let store64 t (a : Vaddr.t) v = store64 t (a :> int) v
 let load_sized t ~size (a : Vaddr.t) = load_sized t ~size (a :> int)
 let store_sized t ~size (a : Vaddr.t) v = store_sized t ~size (a :> int) v
-let load64_fused t (a : Vaddr.t) = load64_fused t (a :> int)
-let store64_fused t (a : Vaddr.t) v = store64_fused t (a :> int) v
-let load_sized_fused t ~size (a : Vaddr.t) = load_sized_fused t ~size (a :> int)
 let blit_from_bytes t ~addr:(a : Vaddr.t) b = blit_from_bytes t ~addr:(a :> int) b
 let blit_to_bytes t ~addr:(a : Vaddr.t) ~len = blit_to_bytes t ~addr:(a :> int) ~len
 let fill t ~addr:(a : Vaddr.t) ~len c = fill t ~addr:(a :> int) ~len c

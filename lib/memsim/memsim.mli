@@ -87,28 +87,6 @@ val load_sized : t -> size:int -> Nvmpi_addr.Kinds.Vaddr.t -> int
 
 val store_sized : t -> size:int -> Nvmpi_addr.Kinds.Vaddr.t -> int -> unit
 
-(** {1 Fused entry points (staged engine)}
-
-    The full access pipeline — alignment check, page walk through the
-    single-entry TLB, statistics and counter-cell bumps — minus observer
-    dispatch. Contract: call these only when {!solo_observed} holds and
-    you hold that sole observer's model (in practice: the machine's
-    timing model, attached as observer 0 at creation), and charge it
-    yourself via [Timing.access_line]. Under that contract the fused
-    path is observationally identical to the generic one: the generic
-    path would have made exactly one direct [obs0] call with the same
-    [(write, addr, size)], and every naturally aligned power-of-two
-    access of at most a cache line reduces observer-side to a single
-    line charge. *)
-
-val solo_observed : t -> bool
-(** True iff notification is on and exactly one observer is registered —
-    the precondition for the fused entry points. *)
-
-val load64_fused : t -> Nvmpi_addr.Kinds.Vaddr.t -> int
-val store64_fused : t -> Nvmpi_addr.Kinds.Vaddr.t -> int -> unit
-val load_sized_fused : t -> size:int -> Nvmpi_addr.Kinds.Vaddr.t -> int
-
 (** {1 Bulk transfers}
 
     Bulk transfers are observed as a sequence of 8-byte (then byte-sized)
@@ -125,8 +103,8 @@ val fill : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> len:int -> char -> unit
 
 (** {1 Debug port}
 
-    Raw access below the access pipeline: no observers fire, no
-    statistics or counters move. The fault-injection harness uses these
+    Raw access below the access pipeline: no observers fire and no
+    counters move. The fault-injection harness uses these
     to snapshot line contents at flush time and to overwrite live memory
     with a materialized crash image; they must never stand in for a
     program access. *)
@@ -139,10 +117,3 @@ val peek_bytes : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> len:int -> bytes
 val poke_bytes : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> bytes -> unit
 (** [poke_bytes t ~addr b] overwrites simulated memory with [b] without
     observing. Raises {!Fault} if the range leaves mapped memory. *)
-
-(** {1 Statistics} *)
-
-type stats = { mutable loads : int; mutable stores : int; mutable pages : int }
-
-val stats : t -> stats
-(** Cumulative access counts and number of materialized pages. *)

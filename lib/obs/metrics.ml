@@ -14,25 +14,6 @@ let incr ?(by = 1) t name =
   let r = counter t name in
   r := !r + by
 
-(* Pre-resolved counter handles for staged hot paths. A handle is just
-   the registry cell, plus a distinguished [unresolved] sentinel so a
-   caller can keep a table of lazily resolved handles: start every slot
-   at [unresolved], and on first bump replace it with [counter t name].
-   The sentinel is compared by physical identity, so resolution happens
-   exactly when the counter would first have been registered by
-   [incr] — a counter is never registered (and never appears in
-   {!snapshot}) before its first increment. *)
-module Handle = struct
-  type nonrec t = int ref
-
-  let unresolved : t = ref min_int
-  let[@inline] resolved c = c != unresolved
-  let[@inline] bump (c : t) = Stdlib.incr c
-  let[@inline] add (c : t) n = c := !c + n
-end
-
-let handle = counter
-
 let get t name =
   match Hashtbl.find_opt t.cells name with Some r -> !r | None -> 0
 

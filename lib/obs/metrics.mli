@@ -29,33 +29,6 @@ val counter : t -> string -> int ref
 val incr : ?by:int -> t -> string -> unit
 (** [incr t name] adds [by] (default 1) to the counter. *)
 
-(** {1 Pre-resolved handles (staged hot paths)}
-
-    A handle is the registry cell itself; bumping it is one memory
-    increment, with no name lookup. The staged per-representation
-    engines keep per-machine tables of handles, initialised to
-    {!Handle.unresolved} and resolved on first bump — so a counter is
-    registered (and becomes visible in {!snapshot}) at exactly the same
-    moment the string-keyed [incr] path would have registered it. *)
-module Handle : sig
-  type nonrec t = int ref
-
-  val unresolved : t
-  (** Distinguished sentinel cell, compared by physical identity: a
-      table slot equal ([==]) to [unresolved] has not been resolved yet.
-      Never bump the sentinel itself. *)
-
-  val resolved : t -> bool
-  (** [resolved c] is [c != unresolved]. *)
-
-  val bump : t -> unit
-  val add : t -> int -> unit
-end
-
-val handle : t -> string -> Handle.t
-(** [handle t name] resolves the handle behind [name] (same cell as
-    {!counter}; the alias documents call sites that cache it). *)
-
 val get : t -> string -> int
 (** Current value; 0 for a counter never touched. *)
 

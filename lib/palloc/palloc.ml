@@ -1,6 +1,5 @@
 module Memsim = Nvmpi_memsim.Memsim
 module Timing = Nvmpi_cachesim.Timing
-module Timing_config = Nvmpi_cachesim.Timing_config
 module Metrics = Nvmpi_obs.Metrics
 module Bitops = Nvmpi_addr.Bitops
 module Vaddr = Nvmpi_addr.Kinds.Vaddr
@@ -33,7 +32,6 @@ type t = {
   timing : Timing.t;
   lo : int;
   hi : int;
-  line : int;
   mutable frag : int; (* free small payload bytes, mirrored to c_frag *)
   c_allocs : int ref;
   c_frees : int ref;
@@ -125,13 +123,7 @@ let root_cell i = o_roots + (8 * i)
 (* {1 Persistence primitives} *)
 
 let flush_range t off len =
-  let first = (t.lo + off) land lnot (t.line - 1) in
-  let last = (t.lo + off + len - 1) land lnot (t.line - 1) in
-  let a = ref first in
-  while !a <= last do
-    Timing.flush t.timing ~addr:!a;
-    a := !a + t.line
-  done
+  ignore (Timing.flush_range t.timing ~addr:(t.lo + off) ~len)
 
 let fence t = Timing.fence t.timing
 
@@ -501,7 +493,6 @@ let allocated_payloads t =
 (* {1 Lifecycle} *)
 
 let make ~mem ~timing ~metrics ~lo ~hi =
-  let line = 1 lsl (Timing.cfg timing).Timing_config.line_bits in
   let c_allocs = Metrics.counter metrics "alloc.allocs" in
   let c_frees = Metrics.counter metrics "alloc.frees" in
   let c_splits = Metrics.counter metrics "alloc.splits" in
@@ -514,7 +505,6 @@ let make ~mem ~timing ~metrics ~lo ~hi =
     timing;
     lo;
     hi;
-    line;
     frag = 0;
     c_allocs;
     c_frees;

@@ -26,7 +26,7 @@ module Make (P : Core.Repr_sig.S) = struct
     let t = { node; meta; anchor } in
     P.store t.node.Node.machine ~holder:anchor Vaddr.null;
     P.store t.node.Node.machine ~holder:(Vaddr.add anchor slot) Vaddr.null;
-    Machine.store64_fast t.node.Node.machine
+    Machine.store64 t.node.Node.machine
       (Vaddr.add meta Node.head_slot_off) (Vaddr.offset_in anchor ~base:meta);
     t
 
@@ -39,7 +39,7 @@ module Make (P : Core.Repr_sig.S) = struct
       failwith "Dllist.attach: payload size mismatch";
     let anchor =
       Vaddr.add meta
-        (Machine.load64_fast node.Node.machine
+        (Machine.load64 node.Node.machine
            (Vaddr.add meta Node.head_slot_off))
     in
     { node; meta; anchor }
@@ -48,7 +48,7 @@ module Make (P : Core.Repr_sig.S) = struct
     let a = Node.alloc_node t.node (node_size t) in
     P.store (m t) ~holder:(Vaddr.add a next_off) Vaddr.null;
     P.store (m t) ~holder:(Vaddr.add a prev_off) Vaddr.null;
-    Machine.store64_fast (m t) (Vaddr.add a key_off) key;
+    Machine.store64 (m t) (Vaddr.add a key_off) key;
     Node.write_payload t.node ~addr:(Vaddr.add a payload_off) ~seed:key;
     a
 
@@ -73,7 +73,7 @@ module Make (P : Core.Repr_sig.S) = struct
       if Vaddr.is_null cur then Vaddr.null
       else begin
         Node.touch t.node;
-        if Machine.load64_fast (m t) (Vaddr.add cur key_off) = key then cur
+        if Machine.load64 (m t) (Vaddr.add cur key_off) = key then cur
         else go (P.load (m t) ~holder:(Vaddr.add cur next_off))
       end
     in
@@ -99,7 +99,7 @@ module Make (P : Core.Repr_sig.S) = struct
         Node.touch t.node;
         go
           (P.load (m t) ~holder:(Vaddr.add cur next_off))
-          (f acc cur (Machine.load64_fast (m t) (Vaddr.add cur key_off)))
+          (f acc cur (Machine.load64 (m t) (Vaddr.add cur key_off)))
       end
     in
     go (P.load (m t) ~holder:(head_holder t)) acc
@@ -117,7 +117,7 @@ module Make (P : Core.Repr_sig.S) = struct
         Node.touch t.node;
         go
           (P.load (m t) ~holder:(Vaddr.add cur prev_off))
-          (Machine.load64_fast (m t) (Vaddr.add cur key_off) :: acc)
+          (Machine.load64 (m t) (Vaddr.add cur key_off) :: acc)
       end
     in
     go (P.load (m t) ~holder:(tail_holder t)) []
@@ -127,7 +127,7 @@ module Make (P : Core.Repr_sig.S) = struct
     fold_forward t
       (fun () cur _ ->
         incr n;
-        sum := !sum + Machine.load64_fast (m t) (Vaddr.add cur key_off);
+        sum := !sum + Machine.load64 (m t) (Vaddr.add cur key_off);
         sum := !sum + Node.read_payload t.node ~addr:(Vaddr.add cur payload_off))
       ();
     (!n, !sum)

@@ -1,5 +1,5 @@
 (* Link-and-persist durability discipline (NVTraverse / "Efficient
-   Lock-Free Durable Sets"): traversals issue plain fused loads with no
+   Lock-Free Durable Sets"): traversals issue plain loads with no
    persistence actions; only the modification window pays clwb+fence.
 
    A link made durable in the modification window is published with a
@@ -42,43 +42,36 @@ let reprs =
       && applicable ~slot_size:(Core.Repr.slot_size k))
     Core.Repr.all
 
-let line_bytes = 64
 let mark_bit = 1
 
 let window_flush m ~addr =
   Timing.flush m.Machine.timing ~addr;
-  Machine.bump m Machine.Cell.dur_window_flushes "dur.window_flushes"
+  Machine.bump m Machine.Cell.dur_window_flushes
 
 let fence m = Timing.fence m.Machine.timing
 
 (* Flush every cache line of [addr, addr+len): the modification window's
    clwb over a freshly built node, issued before the node is linked. *)
 let flush_range m ~addr ~len =
-  if len > 0 then begin
-    let a = (addr : Vaddr.t :> int) in
-    let first = a land lnot (line_bytes - 1) in
-    let last = (a + len - 1) land lnot (line_bytes - 1) in
-    let l = ref first in
-    while !l <= last do
-      window_flush m ~addr:!l;
-      l := !l + line_bytes
-    done
-  end
+  let timing = m.Machine.timing in
+  for _ = 1 to Timing.flush_range timing ~addr:(addr : Vaddr.t :> int) ~len do
+    Machine.bump m Machine.Cell.dur_window_flushes
+  done
 
-(* The traversal-side read barrier: one plain fused load of the raw slot
+(* The traversal-side read barrier: one plain load of the raw slot
    word to test the mark. Almost always clean (one extra load per link
    followed); on a marked link — a crash image whose clear store never
    landed — helper-flush the line, fence, and clear the mark before the
    representation decodes the word. *)
 let check_mark m ~holder =
-  Machine.bump m Machine.Cell.dur_traversal_loads "dur.traversal_loads";
-  let raw = Machine.load64_fast m holder in
+  Machine.bump m Machine.Cell.dur_traversal_loads;
+  let raw = Machine.load64 m holder in
   if raw land mark_bit <> 0 then begin
     Timing.flush m.Machine.timing ~addr:(holder : Vaddr.t :> int);
     Timing.fence m.Machine.timing;
-    Machine.bump m Machine.Cell.dur_helper_flushes "dur.helper_flushes";
-    Machine.store64_fast m holder (raw land lnot mark_bit);
-    Machine.bump m Machine.Cell.dur_marks_cleared "dur.marks_cleared"
+    Machine.bump m Machine.Cell.dur_helper_flushes;
+    Machine.store64 m holder (raw land lnot mark_bit);
+    Machine.bump m Machine.Cell.dur_marks_cleared
   end
 
 (* The modification window's link-and-persist: the representation has
@@ -89,11 +82,11 @@ let check_mark m ~holder =
    carries the marked link (which {!check_mark} repairs on first read),
    so the link transition is failure-atomic. *)
 let persist_link m ~holder =
-  let raw = Machine.load64_fast m holder in
-  Machine.store64_fast m holder (raw lor mark_bit);
-  Machine.bump m Machine.Cell.dur_marks_set "dur.marks_set";
+  let raw = Machine.load64 m holder in
+  Machine.store64 m holder (raw lor mark_bit);
+  Machine.bump m Machine.Cell.dur_marks_set;
   window_flush m ~addr:(holder : Vaddr.t :> int);
   fence m;
-  let marked = Machine.load64_fast m holder in
-  Machine.store64_fast m holder (marked land lnot mark_bit);
-  Machine.bump m Machine.Cell.dur_marks_cleared "dur.marks_cleared"
+  let marked = Machine.load64 m holder in
+  Machine.store64 m holder (marked land lnot mark_bit);
+  Machine.bump m Machine.Cell.dur_marks_cleared

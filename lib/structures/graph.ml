@@ -43,7 +43,7 @@ module Make (P : Core.Repr_sig.S) = struct
       if Vaddr.is_null cur then Vaddr.null
       else begin
         Node.touch t.node;
-        if Machine.load64_fast (m t) (Vaddr.add cur key_off) = key then cur
+        if Machine.load64 (m t) (Vaddr.add cur key_off) = key then cur
         else go (P.load (m t) ~holder:(Vaddr.add cur vnext_off))
       end
     in
@@ -58,7 +58,7 @@ module Make (P : Core.Repr_sig.S) = struct
       P.store (m t) ~holder:(Vaddr.add v vnext_off)
         (P.load (m t) ~holder:(head_holder t));
       P.store (m t) ~holder:(Vaddr.add v adj_off) Vaddr.null;
-      Machine.store64_fast (m t) (Vaddr.add v key_off) key;
+      Machine.store64 (m t) (Vaddr.add v key_off) key;
       Node.write_payload t.node ~addr:(Vaddr.add v payload_off) ~seed:key;
       P.store (m t) ~holder:(head_holder t) v;
       true
@@ -109,7 +109,7 @@ module Make (P : Core.Repr_sig.S) = struct
           (fold_edges t v
              (fun acc e ->
                let dv = P.load (m t) ~holder:(Vaddr.add e target_off) in
-               Machine.load64_fast (m t) (Vaddr.add dv key_off) :: acc)
+               Machine.load64 (m t) (Vaddr.add dv key_off) :: acc)
              [])
 
   let reachable t ~from =
@@ -141,13 +141,13 @@ module Make (P : Core.Repr_sig.S) = struct
     fold_vertices t
       (fun () v ->
         incr n;
-        sum := !sum + Machine.load64_fast (m t) (Vaddr.add v key_off);
+        sum := !sum + Machine.load64 (m t) (Vaddr.add v key_off);
         sum := !sum + Node.read_payload t.node ~addr:(Vaddr.add v payload_off);
         fold_edges t v
           (fun () e ->
             incr n;
             let dv = P.load (m t) ~holder:(Vaddr.add e target_off) in
-            sum := !sum + Machine.load64_fast (m t) (Vaddr.add dv key_off))
+            sum := !sum + Machine.load64 (m t) (Vaddr.add dv key_off))
           ())
       ();
     (!n, !sum)

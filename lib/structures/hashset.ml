@@ -69,7 +69,7 @@ module Make (P : Core.Repr_sig.S) = struct
       if Vaddr.is_null cur then `Slot holder
       else begin
         Node.touch t.node;
-        if Machine.load64_fast (m t) (Vaddr.add cur key_off) = key then `Found cur
+        if Machine.load64 (m t) (Vaddr.add cur key_off) = key then `Found cur
         else go cur
       end
     in
@@ -81,7 +81,7 @@ module Make (P : Core.Repr_sig.S) = struct
     | `Slot holder ->
         let a = Node.alloc_node t.node (node_size t) in
         P.store (m t) ~holder:a Vaddr.null;
-        Machine.store64_fast (m t) (Vaddr.add a key_off) key;
+        Machine.store64 (m t) (Vaddr.add a key_off) key;
         Node.write_payload t.node ~addr:(Vaddr.add a payload_off) ~seed:key;
         (* Modification window: the fresh node must be durable before it
            becomes reachable, so its lines are flushed (and fenced) ahead
@@ -103,7 +103,7 @@ module Make (P : Core.Repr_sig.S) = struct
       if Vaddr.is_null cur then false
       else begin
         Node.touch t.node;
-        if Machine.load64_fast (m t) (Vaddr.add cur key_off) = key then begin
+        if Machine.load64 (m t) (Vaddr.add cur key_off) = key then begin
           store_link t ~holder (load_link t ~holder:cur);
           (* Node storage is leaked: region heaps are bump allocators. *)
           true
@@ -119,7 +119,7 @@ module Make (P : Core.Repr_sig.S) = struct
       let rec go cur =
         if not (Vaddr.is_null cur) then begin
           Node.touch t.node;
-          f ~addr:cur ~key:(Machine.load64_fast (m t) (Vaddr.add cur key_off));
+          f ~addr:cur ~key:(Machine.load64 (m t) (Vaddr.add cur key_off));
           go (load_link t ~holder:cur)
         end
       in
@@ -141,7 +141,7 @@ module Make (P : Core.Repr_sig.S) = struct
         if not (Vaddr.is_null cur) then begin
           Node.touch t.node;
           incr n;
-          sum := !sum + Machine.load64_fast (m t) (Vaddr.add cur key_off);
+          sum := !sum + Machine.load64 (m t) (Vaddr.add cur key_off);
           sum := !sum + Node.read_payload t.node ~addr:(Vaddr.add cur payload_off);
           go (load_link t ~holder:cur)
         end

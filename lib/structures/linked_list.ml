@@ -35,7 +35,7 @@ module Make (P : Core.Repr_sig.S) = struct
 
   let new_node t ~key =
     let a = Node.alloc_node t.node (node_size t) in
-    Machine.store64_fast (m t) (Vaddr.add a key_off) key;
+    Machine.store64 (m t) (Vaddr.add a key_off) key;
     Node.write_payload t.node ~addr:(Vaddr.add a payload_off) ~seed:key;
     a
 
@@ -66,7 +66,7 @@ module Make (P : Core.Repr_sig.S) = struct
     let rec go cur =
       if not (Vaddr.is_null cur) then begin
         Node.touch t.node;
-        f ~addr:cur ~key:(Machine.load64_fast (m t) (Vaddr.add cur key_off));
+        f ~addr:cur ~key:(Machine.load64 (m t) (Vaddr.add cur key_off));
         go (P.load (m t) ~holder:cur)
       end
     in
@@ -83,7 +83,7 @@ module Make (P : Core.Repr_sig.S) = struct
       if not (Vaddr.is_null cur) then begin
         Node.touch t.node;
         incr n;
-        sum := !sum + Machine.load64_fast (m t) (Vaddr.add cur key_off);
+        sum := !sum + Machine.load64 (m t) (Vaddr.add cur key_off);
         sum := !sum + Node.read_payload t.node ~addr:(Vaddr.add cur payload_off);
         go (P.load (m t) ~holder:cur)
       end
@@ -98,7 +98,7 @@ module Make (P : Core.Repr_sig.S) = struct
       (not (Vaddr.is_null cur))
       &&
       (Node.touch t.node;
-       Machine.load64_fast (m t) (Vaddr.add cur key_off) = key
+       Machine.load64 (m t) (Vaddr.add cur key_off) = key
        || go (P.load (m t) ~holder:cur))
     in
     go (P.load (m t) ~holder:(head_holder t))
@@ -108,7 +108,7 @@ module Make (P : Core.Repr_sig.S) = struct
       if Vaddr.is_null cur then false
       else begin
         Node.touch t.node;
-        if Machine.load64_fast (m t) (Vaddr.add cur key_off) = key then begin
+        if Machine.load64 (m t) (Vaddr.add cur key_off) = key then begin
           let next = P.load (m t) ~holder:cur in
           P.store (m t) ~holder:prev_holder next;
           (* Node storage is leaked: region heaps are bump allocators. *)

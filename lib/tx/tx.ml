@@ -21,9 +21,7 @@ let active t = t.active
 let mem t = (Objstore.machine t.os).Machine.mem
 let timing t = (Objstore.machine t.os).Machine.timing
 
-let line_of t a =
-  let bits = (Timing.cfg (timing t)).Nvmpi_cachesim.Timing_config.line_bits in
-  a land lnot ((1 lsl bits) - 1)
+let line_of t a = a land lnot (Timing.line_bytes (timing t) - 1)
 
 let begin_tx t =
   if t.active then raise Already_in_transaction;
@@ -104,7 +102,7 @@ let add_fresh t ~addr:(addr : Vaddr.t) ~len =
   mark (addr land lnot 7);
   let line = line_of t addr in
   let last = line_of t (addr + len - 1) in
-  let step = 1 lsl (Timing.cfg (timing t)).Nvmpi_cachesim.Timing_config.line_bits in
+  let step = Timing.line_bytes (timing t) in
   let rec cover l =
     if l <= last then begin
       Hashtbl.replace t.dirty l ();

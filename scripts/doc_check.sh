@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Documentation consistency gate (CI step; run any time with
-# scripts/doc_check.sh). Five checks, all derived from the code so the
+# scripts/doc_check.sh). Six checks, all derived from the code so the
 # docs cannot silently go stale:
 #
 #   1. every nvmpi subcommand (the Cmd.info names in bin/nvmpi.ml) is
@@ -17,7 +17,12 @@
 #      `nvmpi.exe -- <word>`) names a subcommand,
 #      and every --flag on such a line is declared by an `info [...]` in
 #      bin/nvmpi.ml, so a retired subcommand or flag cannot linger.
-#      ROADMAP.md is exempt: it names commands that do not exist yet.
+#      ROADMAP.md is exempt: it names commands that do not exist yet;
+#   6. every inline-code `Memsim.x`, `Timing.x`, `Cache_level.x`,
+#      `Machine.x` or `Metrics.x` in README/DESIGN/EXPERIMENTS/docs
+#      names a val, type, exception or module of that module's .mli,
+#      so no doc can go on describing a deleted entry point (ROADMAP.md
+#      and CHANGES.md are exempt: they record history and plans).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,11 +43,11 @@ done
 # --- 2. counter prefixes ----------------------------------------------
 
 # Counter names are dotted lowercase string literals at the registration
-# / increment idioms (Metrics.counter, Metrics.incr, Metrics.handle,
-# Machine.count, the staged Machine.bump/Machine.cell, and the local
-# `c "..."` alias). Dynamic names (repr.<name>.loads, built with
-# sprintf) still expose their prefix in the format literal.
-prefixes=$(grep -rhE 'Metrics\.(counter|incr|handle)|Machine\.(count|bump|cell)| c "[a-z]' \
+# / increment idioms (Metrics.counter, Metrics.incr, the local `c "..."`
+# alias, and the `cell "..."` table in Machine.Cell that names every
+# counter Machine.bump increments). Dynamic names (repr.<name>.loads,
+# built with sprintf) still expose their prefix in the format literal.
+prefixes=$(grep -rhE 'Metrics\.(counter|incr)| (c|cell) "[a-z]' \
              --include='*.ml' lib/ \
            | grep -oE '"[a-z][a-z0-9_-]*\.[a-z0-9_.%<>-]*"' \
            | cut -d'"' -f2 | cut -d. -f1 | sort -u)
@@ -114,8 +119,34 @@ for doc in ${docs/ROADMAP.md/} .claude/skills/verify/SKILL.md; do
   done < <(grep -nE "$cmd_re" "$doc" || true)
 done
 
+# --- 6. module entry points named in the docs -------------------------
+
+declare -A mli=(
+  [Memsim]=lib/memsim/memsim.mli
+  [Timing]=lib/cachesim/timing.mli
+  [Cache_level]=lib/cachesim/cache_level.mli
+  [Machine]=lib/core/machine.mli
+  [Metrics]=lib/obs/metrics.mli
+)
+entries=0
+for doc in README.md DESIGN.md EXPERIMENTS.md docs/*.md; do
+  # Inline code spans outside fenced blocks.
+  while IFS=: read -r line text; do
+    for ref in $(grep -oE '`[^`]+`' <<<"$text" \
+                 | grep -oE '\b(Memsim|Timing|Cache_level|Machine|Metrics)\.[A-Za-z_][A-Za-z0-9_]*'); do
+      entries=$((entries + 1))
+      mod=${ref%%.*}
+      name=${ref#*.}
+      # -z reads the .mli as one record, so a declaration may break
+      # its line after the keyword (`exception` then its name).
+      grep -Pzq "(?m)^\\s*(val|type|exception|module)(\\s+nonrec)?\\s+${name}\\b" "${mli[$mod]}" \
+        || err "$doc:$line names '$ref', which ${mli[$mod]} does not declare"
+    done
+  done < <(awk '/^[[:space:]]*```/ { fenced = !fenced; next } !fenced { print FNR ":" $0 }' "$doc")
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "doc_check: FAIL" >&2
   exit 1
 fi
-echo "doc_check: PASS ($(echo "$subcommands" | wc -w | tr -d ' ') subcommands, $(echo "$prefixes" | wc -w | tr -d ' ') counter prefixes, links OK, $execs dune exec targets, $cmdlines nvmpi command lines)"
+echo "doc_check: PASS ($(echo "$subcommands" | wc -w | tr -d ' ') subcommands, $(echo "$prefixes" | wc -w | tr -d ' ') counter prefixes, links OK, $execs dune exec targets, $cmdlines nvmpi command lines, $entries module entry points)"

@@ -80,26 +80,23 @@ let test_cache_dirty_eviction () =
 
 let test_cache_stats_and_invalidate () =
   let c = Cache_level.create ~size_bytes:1024 ~ways:2 ~line_bits:6 in
-  ignore (Cache_level.access c ~addr:0 ~write:false);
-  ignore (Cache_level.access c ~addr:0 ~write:false);
-  let s = Cache_level.stats c in
-  check "hits" 1 s.Cache_level.hits;
-  check "misses" 1 s.Cache_level.misses;
-  Cache_level.invalidate_all c;
-  check_bool "hit after invalidate_all" true
+  check_bool "first access misses" true
     (is_miss (Cache_level.access c ~addr:0 ~write:false));
-  Cache_level.reset_stats c;
-  check "stats reset" 0 (Cache_level.stats c).Cache_level.hits
+  check "second access hits" Cache_level.hit
+    (Cache_level.access c ~addr:0 ~write:false);
+  Cache_level.invalidate_all c;
+  check_bool "miss after invalidate_all" true
+    (is_miss (Cache_level.access c ~addr:0 ~write:false))
 
 (* Timing over memsim *)
 
 let layout = Core.Layout.default
 
-let machine_parts () =
-  let mem = Memsim.create () in
+let machine_parts ?metrics () =
+  let mem = Memsim.create ?metrics () in
   let clock = Clock.create () in
   let timing =
-    Timing.create ~clock ~is_nvm:(Core.Layout.in_nv_space layout) ()
+    Timing.create ?metrics ~clock ~is_nvm:(Core.Layout.in_nv_space layout) ()
   in
   Timing.attach timing mem;
   (mem, clock, timing)
@@ -147,21 +144,34 @@ let test_alu_flush_fence () =
     d;
   (* Second flush: line no longer cached, only issue cost. *)
   let (), d = Clock.delta clock (fun () -> Timing.flush timing ~addr:(nvm :> int)) in
-  check "clean flush" cfg.Timing_config.clflush d
+  check "clean flush" cfg.Timing_config.clflush d;
+  (* A range flush issues one clean flush per line it touches:
+     [60, 130) spans the lines at 0, 64 and 128. *)
+  let lines, d =
+    Clock.delta clock (fun () ->
+        Timing.flush_range timing ~addr:((nvm :> int) + 60) ~len:70)
+  in
+  check "range lines" 3 lines;
+  check "range cost" (3 * cfg.Timing_config.clflush) d;
+  check "empty range" 0 (Timing.flush_range timing ~addr:(nvm :> int) ~len:0)
 
-let test_mem_stats () =
-  let mem, _, timing = machine_parts () in
+let test_memory_counters () =
+  let metrics = Core.Metrics.create () in
+  let mem, _, _ = machine_parts ~metrics () in
   let nvm = va (Core.Layout.nv_start layout) in
   Memsim.map mem ~addr:(va 0x10000) ~size:0x1000;
   Memsim.map mem ~addr:nvm ~size:0x1000;
+  let before = Core.Metrics.snapshot metrics in
   ignore (Memsim.load64 mem (va 0x10000));
   ignore (Memsim.load64 mem nvm);
   ignore (Memsim.load64 mem nvm);
-  let s = Timing.mem_stats timing in
-  check "dram reads" 1 s.Timing.dram_reads;
-  check "nvm reads" 1 s.Timing.nvm_reads;
-  Timing.reset_stats timing;
-  check "reset" 0 (Timing.mem_stats timing).Timing.nvm_reads
+  let delta =
+    Core.Metrics.diff ~before ~after:(Core.Metrics.snapshot metrics)
+  in
+  let count name = Option.value ~default:0 (List.assoc_opt name delta) in
+  check "dram reads" 1 (count "mem.dram_reads");
+  check "nvm reads" 1 (count "mem.nvm_reads");
+  check "loads" 3 (count "mem.loads")
 
 let test_working_set_behaviour () =
   (* A working set larger than L1 but within L2 should mostly hit L2 on a
@@ -186,20 +196,16 @@ let test_working_set_behaviour () =
 let test_dirty_writeback_charged () =
   (* Write enough distinct NVM lines to force dirty evictions through
      L1/L2/L3; the model must charge NVM writes for them. *)
-  let mem, _, timing = machine_parts () in
+  let metrics = Core.Metrics.create () in
+  let mem, _, _ = machine_parts ~metrics () in
   let nvm = va (Core.Layout.nv_start layout) in
   let lines = (2 * cfg.Timing_config.l3_size) / 64 in
   Memsim.map mem ~addr:nvm ~size:(lines * 64);
   for i = 0 to lines - 1 do
     Memsim.store64 mem (Vaddr.add nvm (i * 64)) i
   done;
-  let s = Timing.mem_stats timing in
-  check_bool "dirty evictions reached NVM" true (s.Timing.nvm_writes > 0)
-
-let test_pp_stats_renders () =
-  let _, _, timing = machine_parts () in
-  let out = Format.asprintf "%a" Timing.pp_stats timing in
-  check_bool "stats render" true (String.length out > 0)
+  check_bool "dirty evictions reached NVM" true
+    (Core.Metrics.get metrics "mem.nvm_writes" > 0)
 
 let test_invalidate_caches_forces_misses () =
   let mem, clock, timing = machine_parts () in
@@ -263,12 +269,11 @@ let () =
             test_dram_vs_nvm_latency;
           Alcotest.test_case "warm hit cost" `Quick test_warm_hit_cost;
           Alcotest.test_case "alu/flush/fence" `Quick test_alu_flush_fence;
-          Alcotest.test_case "memory stats" `Quick test_mem_stats;
+          Alcotest.test_case "memory stats" `Quick test_memory_counters;
           Alcotest.test_case "working-set behaviour" `Quick
             test_working_set_behaviour;
           Alcotest.test_case "dirty write-back charged" `Quick
             test_dirty_writeback_charged;
-          Alcotest.test_case "pp_stats" `Quick test_pp_stats_renders;
           Alcotest.test_case "invalidate forces misses" `Quick
             test_invalidate_caches_forces_misses;
         ] );

@@ -126,13 +126,15 @@ let test_observers () =
   check "restored" 3 !loads
 
 let test_stats () =
-  let m, base = fresh () in
-  let s = Memsim.stats m in
-  let l0 = s.Memsim.loads in
+  let metrics = Core.Metrics.create () in
+  let m = Memsim.create ~metrics () in
+  let base = va 0x1000 in
+  Memsim.map m ~addr:base ~size:0x10000;
   ignore (Memsim.load64 m base);
   ignore (Memsim.load64 m (Vaddr.add base 0x1000));
-  check "loads counted" (l0 + 2) s.Memsim.loads;
-  check_bool "pages materialized" true (s.Memsim.pages >= 2)
+  Memsim.store64 m base 1;
+  check "loads counted" 2 (Core.Metrics.get metrics "mem.loads");
+  check "stores counted" 1 (Core.Metrics.get metrics "mem.stores")
 
 let test_high_addresses () =
   (* NV-space-like addresses near the top of the 62-bit space. *)
